@@ -88,7 +88,6 @@ class TailClosedForm:
     """
 
     numerator_coeff: Fraction
-    branch_value_at_zero: Fraction = Fraction(1)
 
     def to_series(self, order: int) -> PowerSeries:
         radicand = PowerSeries.polynomial([1, -4 * self.numerator_coeff], order)
@@ -107,35 +106,23 @@ class TailClosedForm:
 
 @dataclass(frozen=True)
 class ClosedFormExpr:
-    """The fixed-shape closed form  affine*h - num*h^2/(const + sqrt(1 + slope*h)).
+    """Ramanujan's closed form 4h - 3h^2/(2 + sqrt(1 - 3h)).
 
-    Defaults encode 4h - 3h^2/(2 + sqrt(1 - 3h)).  This is a data record,
-    not a general expression tree; the one shape is all that is needed.
+    Not a general expression tree: the one closed form is all that is needed.
     """
 
-    affine_coeff: Fraction = Fraction(4)
-    quotient_numerator: Fraction = Fraction(3)
-    quotient_constant: Fraction = Fraction(2)
-    radicand_linear: Fraction = Fraction(-3)
-
     def canonical_string(self) -> str:
-        slope = -self.radicand_linear
-        rad = f"1 - {slope}h" if slope > 0 else f"1 + {-slope}h"
-        return (
-            f"{self.affine_coeff}h - {self.quotient_numerator}h^2/"
-            f"({self.quotient_constant} + sqrt({rad}))"
-        )
+        return "4h - 3h^2/(2 + sqrt(1 - 3h))"
 
     def to_series(self, order: int) -> PowerSeries:
         if order < 2:
             raise ValueError("need order >= 2 to expand the closed form")
-        root = PowerSeries.polynomial([1, self.radicand_linear], order).sqrt()
-        den = PowerSeries.monomial(self.quotient_constant, 0, order) + root
-        num = PowerSeries.monomial(self.quotient_numerator, 2, order)
-        return PowerSeries.monomial(self.affine_coeff, 1, order) - num.divide(den)
+        root = PowerSeries.polynomial([1, -3], order).sqrt()
+        den = PowerSeries.monomial(2, 0, order) + root
+        num = PowerSeries.monomial(3, 2, order)
+        return PowerSeries.monomial(4, 1, order) - num.divide(den)
 
-    def __str__(self) -> str:
-        return self.canonical_string()
+    __str__ = canonical_string
 
 
 def cfrac_expand(s: PowerSeries, depth: int) -> CFraction:
@@ -233,9 +220,9 @@ def collapse_to_closed_form(cf: CFraction, order: int = 12) -> ClosedFormExpr:
     """Collapse the frozen fraction 4h - h^2/(1 - (h/2)/B) with B periodic
     at 3/4 into 4h - 3h^2/(2 + sqrt(1 - 3h)).
 
-    The substitution is re-verified internally: the closed form's own
-    expansion must match the series obtained by substituting B into the
-    fraction, through the given order.
+    The collapse is re-verified internally: the closed form's own expansion
+    must match the frozen fraction's expansion (certified at any order,
+    since the periodic tail is materialized) through the given order.
     """
     if cf.leading != 4 or cf.head != 1:
         raise NotInRamanujanShape(f"head is ({cf.leading}, {cf.head}), need (4, 1)")
@@ -245,13 +232,9 @@ def collapse_to_closed_form(cf: CFraction, order: int = 12) -> ClosedFormExpr:
         raise NotInRamanujanShape("tail must be frozen from index 2")
     if any(a != _RAMANUJAN_VALUE for a in cf.partials[1:]):
         raise NotInRamanujanShape("frozen value must be 3/4")
-    b = solve_periodic_tail(_RAMANUJAN_VALUE).to_series(order)
-    inner = PowerSeries.one(order) - PowerSeries.monomial(_RAMANUJAN_A1, 1, order).divide(b)
-    substituted = PowerSeries.monomial(4, 1, order) - PowerSeries.monomial(1, 2, order).divide(inner)
     expr = ClosedFormExpr()
-    equal, _ = substituted.agreement(expr.to_series(order))
-    if not equal:
-        raise CFracError("substitution and closed form disagree; collapse is invalid")
+    if cfrac_to_series(cf, order) != expr.to_series(order):
+        raise CFracError("frozen fraction and closed form disagree; collapse is invalid")
     return expr
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import math
 import os
 import sys
@@ -129,33 +130,27 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_verify_series(args) -> tuple[str, int]:
     report = full_report(args.order)
+    # the partials are one more table, keyed by their 1-based index
+    references = {**REFERENCE_SERIES, "cfrac-partials": dict(enumerate(CFRAC_PARTIALS, start=1))}
+    partial_rows = (
+        ("cfrac-partials", index, coeff)
+        for index, coeff in enumerate(report.cfrac_true.partials, start=1)
+    )
     rows = []
     mismatches = []
     checked = 0
-    for name, power, coeff in report.coefficient_rows():
-        reference = REFERENCE_SERIES[name]
-        if power in reference:
-            checked += 1
-            if coeff == reference[power]:
-                status = "reference"
-            else:
-                status = f"mismatch(expected {reference[power]})"
-                mismatches.append((name, power, coeff, reference[power]))
-        else:
+    for name, power, coeff in itertools.chain(report.coefficient_rows(), partial_rows):
+        expected = references[name].get(power)
+        if expected is None:
             status = "derived"
-        rows.append((name, power, coeff, status))
-    for index, coeff in enumerate(report.cfrac_true.partials, start=1):
-        if index <= len(CFRAC_PARTIALS):
+        else:
             checked += 1
-            expected = CFRAC_PARTIALS[index - 1]
             if coeff == expected:
                 status = "reference"
             else:
                 status = f"mismatch(expected {expected})"
-                mismatches.append(("cfrac-partials", index, coeff, expected))
-        else:
-            status = "derived"
-        rows.append(("cfrac-partials", index, coeff, status))
+                mismatches.append((name, power, coeff, expected))
+        rows.append((name, power, coeff, status))
 
     if args.format == "tsv":
         lines = ["series\tpower\tcoefficient\tstatus"]
@@ -229,7 +224,7 @@ def _cmd_error_table(args) -> tuple[str, int]:
     rows = error_sweep(grid, cfg)
     lines = ["\t".join(ERROR_TABLE_COLUMNS)]
     for row in rows:
-        lines.append("\t".join(f"{value:.17g}" for value in row.as_tuple()))
+        lines.append("\t".join(f"{value:.17g}" for value in row))
     text = "\n".join(lines) + "\n"
     violations = _band_violations(rows)
     for message in violations:

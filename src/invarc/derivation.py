@@ -10,6 +10,7 @@ the true inverse.  :func:`full_report` bundles all of it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -17,16 +18,22 @@ from typing import Iterator
 from .cfrac import CFraction, ClosedFormExpr, cfrac_expand
 from .series import PowerSeries
 
+# Grown only under the lock and only by appending in index order, so every
+# entry below the current length is final and can be read without it.
 _IVORY_COEFFS: list[Fraction] = [Fraction(1), Fraction(1, 4)]
+_IVORY_LOCK = threading.Lock()
 
 
 def ivory_coefficient(n: int) -> Fraction:
     """binom(1/2, n)^2, the coefficient of lambda^(2n) in the perimeter series."""
     if n < 0:
         raise ValueError("coefficient index must be non-negative")
-    while len(_IVORY_COEFFS) <= n:
-        k = len(_IVORY_COEFFS)
-        _IVORY_COEFFS.append(_IVORY_COEFFS[k - 1] * Fraction((2 * k - 3) ** 2, (2 * k) ** 2))
+    if n < len(_IVORY_COEFFS):
+        return _IVORY_COEFFS[n]
+    with _IVORY_LOCK:
+        while len(_IVORY_COEFFS) <= n:
+            k = len(_IVORY_COEFFS)
+            _IVORY_COEFFS.append(_IVORY_COEFFS[k - 1] * Fraction((2 * k - 3) ** 2, (2 * k) ** 2))
     return _IVORY_COEFFS[n]
 
 
@@ -41,21 +48,16 @@ def h_series(order: int) -> PowerSeries:
     """Perimeter excess h as a series in x = lambda^2 (the ivory series minus 1)."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    coeffs = [Fraction(0)] + [ivory_coefficient(n) for n in range(1, order + 1)]
-    return PowerSeries(coeffs)
+    return ivory_series(order) - PowerSeries.one(order)
 
 
 def true_inverse_series(order: int) -> PowerSeries:
     """lambda^2 as a series in h: the compositional inverse of the h-series."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
     return h_series(order).revert()
 
 
 def ramanujan_series(order: int) -> PowerSeries:
     """Series expansion of the closed form 4h - 3h^2/(2 + sqrt(1 - 3h))."""
-    if order < 2:
-        raise ValueError("order must be at least 2")
     return ClosedFormExpr().to_series(order)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .derivation import ivory_coefficient
 
@@ -41,14 +42,14 @@ class OutOfRange(NumericError):
 
 @dataclass(frozen=True)
 class Ellipse:
-    """Semiaxes a >= b >= 0 with a > 0; b = 0 is the degenerate segment."""
+    """Finite semiaxes a >= b >= 0 with a > 0; b = 0 is the degenerate segment."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0):
-            raise DomainError(f"semimajor axis must be positive, got {self.a}")
+        if not (0 < self.a < math.inf):
+            raise DomainError(f"semimajor axis must be positive and finite, got {self.a}")
         if not (self.a >= self.b >= 0):
             raise DomainError(f"need a >= b >= 0, got a={self.a}, b={self.b}")
 
@@ -65,8 +66,8 @@ class PrecisionConfig:
     max_iter: int | None = None
 
     def __post_init__(self):
-        if not (self.abs_tol > 0):
-            raise DomainError("abs_tol must be positive")
+        if not (0 < self.abs_tol < math.inf):
+            raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
         if self.max_iter is not None and self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
 
@@ -90,10 +91,10 @@ EXACT_SWEEP_CUTOFF = 0.35
 ERROR_TABLE_COLUMNS = ("lambda", "h", "lambda_sq_true", "lambda_sq_approx", "diff", "normalized")
 
 
-@dataclass(frozen=True)
-class ErrorRow:
-    """One sweep row.  The first field is `lam` only because `lambda` is a
-    Python keyword; it serializes under the column name "lambda"."""
+class ErrorRow(NamedTuple):
+    """One sweep row, in ERROR_TABLE_COLUMNS order.  The first field is `lam`
+    only because `lambda` is a Python keyword; it serializes under the
+    column name "lambda"."""
 
     lam: float
     h: float
@@ -102,20 +103,23 @@ class ErrorRow:
     diff: float
     normalized: float
 
-    def as_tuple(self) -> tuple[float, float, float, float, float, float]:
-        return (
-            self.lam,
-            self.h,
-            self.lambda_sq_true,
-            self.lambda_sq_approx,
-            self.diff,
-            self.normalized,
-        )
-
 
 def lambda_of(e: Ellipse) -> float:
     """Shape parameter (a - b)/(a + b), 0 for a circle, 1 when degenerate."""
     return (e.a - e.b) / (e.a + e.b)
+
+
+def _ivory_terms(x, cap: int):
+    """The perimeter-series terms binom(1/2,n)^2 x^n for n = 1 .. cap.
+
+    Each term has the number type of x: a Fraction coefficient times a
+    float power evaluates as float(coefficient) * power.  The caller turns
+    running out of terms into its own NoConvergence.
+    """
+    xpow = x
+    for n in range(1, cap + 1):
+        yield ivory_coefficient(n) * xpow
+        xpow *= x
 
 
 def perimeter_series(e: Ellipse, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
@@ -126,22 +130,12 @@ def perimeter_series(e: Ellipse, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float
     exact rounding (math.fsum) so the engines can be compared tightly.
     """
     lam = lambda_of(e)
-    x = lam * lam
     terms = [1.0]
-    xpow = 1.0
-    n = 0
-    while True:
-        n += 1
-        if n > cfg.series_cap:
-            raise NoConvergence(
-                f"series did not reach tol {cfg.abs_tol} in {cfg.series_cap} terms"
-            )
-        xpow *= x
-        term = float(ivory_coefficient(n)) * xpow
+    for term in _ivory_terms(lam * lam, cfg.series_cap):
         if term < cfg.abs_tol:
-            break
+            return math.pi * (e.a + e.b) * math.fsum(terms)
         terms.append(term)
-    return math.pi * (e.a + e.b) * math.fsum(terms)
+    raise NoConvergence(f"series did not reach tol {cfg.abs_tol} in {cfg.series_cap} terms")
 
 
 def perimeter_agm(e: Ellipse, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
@@ -206,18 +200,13 @@ def _exact_row(lam: float, cfg: PrecisionConfig) -> ErrorRow:
     x = lam_exact * lam_exact
     target = (x / 4) ** 6 / 10**8
     h = Fraction(0)
-    xpow = Fraction(1)
-    n = 0
-    while True:
-        n += 1
-        if n > cfg.series_cap:
-            raise NoConvergence("exact series summation exceeded the iteration cap")
-        xpow *= x
-        term = ivory_coefficient(n) * xpow
+    for n, term in enumerate(_ivory_terms(x, cfg.series_cap), start=1):
         if n > 1 and 2 * term <= target:
             # remaining tail < 2*term for lambda <= the cutoff
             break
         h += term
+    else:
+        raise NoConvergence("exact series summation exceeded the iteration cap")
     radicand = 1 - 3 * h
     lead_gap = h.denominator.bit_length() - h.numerator.bit_length()
     bits = 4 * max(1, lead_gap + 1) + 48
@@ -257,9 +246,7 @@ def error_sweep(lambda_grid, cfg: PrecisionConfig = DEFAULT_CONFIG) -> list[Erro
     return rows
 
 
-def invert_from_measurements(
-    perimeter: float, axis_sum: float, cfg: PrecisionConfig = DEFAULT_CONFIG
-) -> Ellipse:
+def invert_from_measurements(perimeter: float, axis_sum: float) -> Ellipse:
     """Recover semiaxes from a perimeter L and the sum s = a + b.
 
     Feasible measurements satisfy pi*s <= L <= 4*s (circle up to the
@@ -267,6 +254,8 @@ def invert_from_measurements(
     extreme degenerate end the closed form overshoots lambda^2 = 1 by about
     5.8e-4, so lambda is clamped to 1 there to keep b >= 0.
     """
+    if not (math.isfinite(perimeter) and math.isfinite(axis_sum)):
+        raise DomainError(f"perimeter and axis sum must be finite, got {perimeter} and {axis_sum}")
     if not (axis_sum > 0):
         raise DomainError(f"axis sum must be positive, got {axis_sum}")
     lower = math.pi * axis_sum

@@ -24,18 +24,6 @@ REFERENCE_SERIES: dict[str, dict[int, F]] = {
         8: F(184041, 1073741824),
         9: F(511225, 4294967296),
     },
-    "h-series": {
-        0: F(0),
-        1: F(1, 4),
-        2: F(1, 64),
-        3: F(1, 256),
-        4: F(25, 16384),
-        5: F(49, 65536),
-        6: F(441, 1048576),
-        7: F(1089, 4194304),
-        8: F(184041, 1073741824),
-        9: F(511225, 4294967296),
-    },
     "true": {
         0: F(0),
         1: F(4),
@@ -70,6 +58,8 @@ REFERENCE_SERIES: dict[str, dict[int, F]] = {
         8: F(-2077, 2048),
     },
 }
+# The h-series is the ivory series minus 1: the same table, constant term 0.
+REFERENCE_SERIES["h-series"] = {**REFERENCE_SERIES["ivory"], 0: F(0)}
 
 # Partial numerator coefficients of the true inverse's continued fraction.
 # The first three come straight off the display; the fourth and fifth are
@@ -82,5 +72,3 @@ CFRAC_PARTIALS: tuple[F, ...] = (
     F(31, 36),
     F(911, 1116),
 )
-
-CLOSED_FORM_STRING = "4h - 3h^2/(2 + sqrt(1 - 3h))"

@@ -178,3 +178,42 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "31/36" in proc.stdout
+
+
+ERROR_TABLE_ARGS = ("error-table", "--lambda-min", "0.36", "--lambda-max", "0.4", "--steps", "1")
+INVERT_ARGS = ("invert", "--perimeter", "7", "--sum", "2")
+FLOAT_FLAGS = {
+    "--lambda-min": ERROR_TABLE_ARGS,
+    "--lambda-max": ERROR_TABLE_ARGS,
+    "--abs-tol": ERROR_TABLE_ARGS,
+    "--perimeter": INVERT_ARGS,
+    "--sum": INVERT_ARGS,
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", list(FLOAT_FLAGS))
+def test_non_finite_float_flags_are_rejected(capsys, flag, value):
+    # the later occurrence of a flag wins; "--flag=-inf" keeps argparse
+    # from reading the value as an option
+    code, out, err = invoke(capsys, *FLOAT_FLAGS[flag], f"{flag}={value}")
+    assert code in (1, 2), err
+    assert out == ""
+
+
+def test_runtime_imports_only_the_standard_library():
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import invarc, invarc.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "invarc.cli" in loaded
+    foreign = {"scipy", "mpmath", "sympy", "hypothesis", "numpy"}
+    assert [m for m in loaded if m.split(".")[0] in foreign] == []

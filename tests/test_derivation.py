@@ -128,3 +128,41 @@ def test_series_validity_orders():
         ramanujan_series(1)
     with pytest.raises(ValueError):
         difference_series(5)
+
+
+def test_ivory_cache_is_thread_safe():
+    # Threads that grow the shared coefficient cache at the same time must
+    # leave it exactly as one thread would.  A tiny switch interval makes
+    # the interpreter swap threads inside the growth loop.
+    import sys
+    import threading
+
+    from invarc import derivation
+
+    expected = [F(1)]
+    binom = F(1)
+    for k in range(400):
+        binom *= (F(1, 2) - k) / (k + 1)
+        expected.append(binom * binom)
+    cache = derivation._IVORY_COEFFS
+    saved = list(cache)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(30):
+            del cache[2:]
+            results = []
+            threads = [
+                threading.Thread(target=lambda: results.append(ivory_coefficient(400)))
+                for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert results == [expected[400]] * 4
+            assert cache == expected
+    finally:
+        sys.setswitchinterval(interval)
+        cache[:] = saved

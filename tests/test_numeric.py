@@ -233,3 +233,42 @@ def test_closed_form_monotone_on_physical_range(h):
     # monotone over every h an actual ellipse can produce; very close to
     # the mathematical endpoint 1/3 the root's infinite slope breaks this
     assert ramanujan_lambda_sq(h) > ramanujan_lambda_sq(h - 1e-9)
+
+
+def test_non_finite_inputs_are_rejected():
+    for a, b in [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, math.inf)]:
+        with pytest.raises(DomainError):
+            Ellipse(a, b)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            PrecisionConfig(abs_tol=tol)
+    for perimeter, axis_sum in [(math.nan, 3.0), (7.0, math.nan), (math.inf, math.inf)]:
+        with pytest.raises(DomainError):
+            invert_from_measurements(perimeter, axis_sum)
+
+
+# both sides of the exact/float hand-over at EXACT_SWEEP_CUTOFF = 0.35,
+# and out towards the degenerate end
+ORACLE_LAMBDAS = (1e-3, 0.05, 0.2, 0.3499, 0.35, 0.35000001, 0.3501, 0.5, 0.9, 0.999, 0.99999)
+
+
+def test_sweep_matches_mpmath_oracle():
+    # Independent 50-digit oracle: h = 4a E(m)/(pi (a+b)) - 1 for the
+    # ellipse a = 1 + lambda, b = 1 - lambda, with E the complete elliptic
+    # integral of the second kind at parameter m = 1 - (b/a)^2.
+    mpmath = pytest.importorskip("mpmath")
+    rows = error_sweep(ORACLE_LAMBDAS)
+    with mpmath.workdps(50):
+        for row in rows:
+            lam = mpmath.mpf(row.lam)
+            a, b = 1 + lam, 1 - lam
+            h = 4 * a * mpmath.ellipe(1 - (b / a) ** 2) / (mpmath.pi * (a + b)) - 1
+            approx = 4 * h - 3 * h**2 / (2 + mpmath.sqrt(1 - 3 * h))
+            diff = lam**2 - approx
+            normalized = 32 * diff / h**6
+            assert row.h == pytest.approx(float(h), rel=1e-12), row
+            assert row.lambda_sq_approx == pytest.approx(float(approx), rel=1e-12), row
+            assert row.diff == pytest.approx(float(diff), rel=1e-4), row
+            assert row.normalized == pytest.approx(float(normalized), rel=1e-4), row
+            if row.lam > EXACT_SWEEP_CUTOFF:
+                assert abs(row.diff - float(diff)) <= 1e-14, row
