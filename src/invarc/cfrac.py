@@ -16,10 +16,11 @@ Everything is exact rational arithmetic; no floats enter this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import PowerSeries, NotCentered
+from .series import PowerSeries, NotCentered, _scaled
 
 
 class CFracError(ArithmeticError):
@@ -134,6 +135,11 @@ def cfrac_expand(s: PowerSeries, depth: int) -> CFraction:
     a_k as the linear coefficient of 1 - D_k and continues with D_{k+1} =
     a_k*h/(1 - D_k).  A depth-d truncation certifies the source through
     order d + 2, which is why the source order must be at least depth + 2.
+
+    D_k is kept as a quotient num/den of integer coefficient lists
+    (Viskovatov's division-free recurrence): with rem = den - num, so that
+    1 - D_k = rem/den, a step is a_k = rem[1]/den[0] and D_{k+1} =
+    a_k*den/(rem/h), one coefficient shorter.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -148,23 +154,28 @@ def cfrac_expand(s: PowerSeries, depth: int) -> CFraction:
     if c1 == 0 or c2 == 0:
         raise DegenerateHead("normal form needs nonzero h and h^2 coefficients")
     head = -c2
-    denom = PowerSeries.monomial(c1, 1, s.order) - s
-    d = PowerSeries.monomial(head, 2, s.order).divide(denom)
+    # D_1 = head*h^2/(c1*h - s) = -c2/(-c2 - c3*h - ...), over one integer scale
+    den, _ = _scaled([-c for c in s.coeffs[2:]])
+    num = [den[0]] + [0] * (len(den) - 1)
     partials: list[Fraction] = []
     terminated = False
     for k in range(1, depth + 1):
-        remainder = PowerSeries.one(d.order) - d
-        if remainder.is_zero():
+        rem = [q - p for p, q in zip(num, den)]
+        if not any(rem):
             terminated = True
             break
-        a = remainder[1]
+        a = Fraction(rem[1], den[0])
         if a == 0:
             raise IrregularExpansion(
                 f"partial numerator {k} vanished but the remainder did not terminate"
             )
         partials.append(a)
         if k < depth:
-            d = PowerSeries.monomial(a, 1, remainder.order).divide(remainder)
+            num = [a.numerator * q for q in den[:-1]]
+            den = [a.denominator * r for r in rem[1:]]
+            g = math.gcd(*num, *den)
+            num = [p // g for p in num]
+            den = [q // g for q in den]
     return CFraction(c1, head, tuple(partials), None, terminated)
 
 

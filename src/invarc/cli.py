@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import math
 import os
 import sys
 import tempfile
@@ -43,6 +42,7 @@ from .numeric import (
     error_sweep,
     invert_from_measurements,
     lambda_of,
+    measured_excess,
 )
 from .reference import CFRAC_PARTIALS, REFERENCE_SERIES
 from .series import SeriesError
@@ -234,7 +234,7 @@ def _cmd_error_table(args) -> tuple[str, int]:
 
 def _cmd_invert(args) -> tuple[str, int]:
     ellipse = invert_from_measurements(args.perimeter, args.axis_sum)
-    h = max(0.0, args.perimeter / (math.pi * args.axis_sum) - 1.0)
+    h = measured_excess(args.perimeter, args.axis_sum)
     lines = [
         f"a: {ellipse.a:.17g}",
         f"b: {ellipse.b:.17g}",

@@ -54,12 +54,20 @@ class Ellipse:
             raise DomainError(f"need a >= b >= 0, got a={self.a}, b={self.b}")
 
 
+# Largest accepted abs_tol.  A looser AGM stop makes the float sweep path
+# silently wrong: at 1e-7 the sweep already misses the 50-digit oracle's
+# 1e-4 relative bound on diff and normalized (at lambda 0.3501 and 0.9), and
+# at 1 the AGM runs no iteration at all; 1e-8 still meets every bound.
+ABS_TOL_CEILING = 1e-8
+
+
 @dataclass(frozen=True)
 class PrecisionConfig:
     """Stopping control for the iterative engines.
 
-    max_iter = None means each engine's own default cap: 64 for the
-    quadratically convergent AGM, 10000 for the series summation.
+    abs_tol must lie in (0, ABS_TOL_CEILING].  max_iter = None means each
+    engine's own default cap: 64 for the quadratically convergent AGM,
+    10000 for the series summation.
     """
 
     abs_tol: float = 1e-14
@@ -68,6 +76,10 @@ class PrecisionConfig:
     def __post_init__(self):
         if not (0 < self.abs_tol < math.inf):
             raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
+        if self.abs_tol > ABS_TOL_CEILING:
+            raise DomainError(
+                f"abs_tol must be at most {ABS_TOL_CEILING:g}, got {self.abs_tol}"
+            )
         if self.max_iter is not None and self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
 
@@ -246,6 +258,11 @@ def error_sweep(lambda_grid, cfg: PrecisionConfig = DEFAULT_CONFIG) -> list[Erro
     return rows
 
 
+def measured_excess(perimeter: float, axis_sum: float) -> float:
+    """h = L/(pi*s) - 1 for a perimeter L and axis sum s, floored at 0."""
+    return max(0.0, perimeter / (math.pi * axis_sum) - 1.0)
+
+
 def invert_from_measurements(perimeter: float, axis_sum: float) -> Ellipse:
     """Recover semiaxes from a perimeter L and the sum s = a + b.
 
@@ -268,6 +285,6 @@ def invert_from_measurements(perimeter: float, axis_sum: float) -> Ellipse:
         raise OutOfRange(
             f"perimeter {perimeter} above the degenerate bound 4*sum = {upper}"
         )
-    h = max(0.0, perimeter / (math.pi * axis_sum) - 1.0)
+    h = measured_excess(perimeter, axis_sum)
     lam = min(1.0, math.sqrt(ramanujan_lambda_sq(h)))
     return Ellipse(axis_sum * (1.0 + lam) / 2.0, axis_sum * (1.0 - lam) / 2.0)

@@ -12,6 +12,7 @@ can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -50,6 +51,12 @@ def _frac(value: Coefficient) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
+
+
+def _scaled(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers over the common denominator d: coeffs[i] == ints[i] / d."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 class PowerSeries:
@@ -194,17 +201,20 @@ class PowerSeries:
 
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
+            # convolve integers over the common denominators; one gcd per
+            # output coefficient instead of one per product
             n = min(self.order, other.order)
-            a = self._coeffs
-            b = other._coeffs
-            out = [Fraction(0)] * (n + 1)
+            a, da = _scaled(self._coeffs[: n + 1])
+            b, db = _scaled(other._coeffs[: n + 1])
+            out = [0] * (n + 1)
             for i in range(n + 1):
                 ai = a[i]
                 if ai == 0:
                     continue
                 for j in range(n + 1 - i):
                     out[i + j] += ai * b[j]
-            return PowerSeries(out)
+            d = da * db
+            return PowerSeries(Fraction(c, d) for c in out)
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
         return NotImplemented
@@ -286,20 +296,21 @@ class PowerSeries:
     def revert(self) -> "PowerSeries":
         """Compositional inverse.
 
-        Needs constant term 0 and nonzero linear term; solves the
-        coefficients one order at a time from compose(self, result) = x.
+        Needs constant term 0 and nonzero linear term.  Lagrange inversion
+        gives [x^k] result = (1/k) [x^(k-1)] w^k with w = x/self, so one
+        division and a running power of w yield every coefficient.
         """
         if self._coeffs[0] != 0:
             raise NotCentered("can only revert a series with zero constant term")
         if self.order < 1 or self._coeffs[1] == 0:
             raise ZeroLinearTerm("reversion needs a nonzero linear coefficient")
         n = self.order
-        s1 = self._coeffs[1]
-        g = [Fraction(0), 1 / s1]
-        for m in range(2, n + 1):
-            partial = PowerSeries(g + [Fraction(0)])
-            value = self.truncate(m).compose(partial)
-            g.append(-value[m] / s1)
+        w = PowerSeries.one(n - 1).divide(PowerSeries(self._coeffs[1:]))
+        power = PowerSeries.one(n - 1)
+        g = [Fraction(0)]
+        for k in range(1, n + 1):
+            power = power * w
+            g.append(power[k - 1] / k)
         return PowerSeries(g)
 
     # -- display ---------------------------------------------------------

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invarc.cfrac import (
@@ -14,6 +14,7 @@ from invarc.cfrac import (
     IndexOutOfRange,
     InsufficientDepth,
     InsufficientOrder,
+    IrregularExpansion,
     NotInRamanujanShape,
     cfrac_expand,
     cfrac_to_series,
@@ -75,6 +76,34 @@ def test_expand_terminating_input():
     assert cf.terminated
     assert cf.partials == ()
     assert cf.leading == 4 and cf.head == 1
+
+
+def test_expand_irregular_input():
+    # 4h - h^2 + h^4: D_1 = 1/(1 - h^2), so 1 - D_1 has no linear term
+    s = PowerSeries.polynomial([0, 4, -1, 0, 1], 6)
+    with pytest.raises(
+        IrregularExpansion,
+        match="partial numerator 1 vanished but the remainder did not terminate",
+    ):
+        cfrac_expand(s, 3)
+
+
+def test_expand_does_not_divide(monkeypatch):
+    # one long division per partial made the expansion O(n^3); guard
+    # against its return without a timing test
+    source = true_inverse_series(12)
+    calls = []
+    divide = PowerSeries.divide
+
+    def counted(self, den):
+        calls.append(den)
+        return divide(self, den)
+
+    monkeypatch.setattr(PowerSeries, "divide", counted)
+    monkeypatch.setattr(PowerSeries, "__truediv__", counted)
+    cf = cfrac_expand(source, 10)
+    assert cf.partials[:5] == TRUE_PARTIALS
+    assert calls == []
 
 
 def test_expand_needs_order_depth_plus_two():
@@ -264,3 +293,104 @@ def test_random_cfraction_round_trip(partials, leading, head):
     assert back.leading == leading
     assert back.head == head
     assert back.partials == cf.partials
+
+
+# the expansion against the one it replaced, kept here as an oracle
+
+
+def _expand_by_division(s, depth):
+    # the former expansion: one long division per partial, O(n^3)
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    if s.order < depth + 2:
+        raise InsufficientOrder(
+            f"series order {s.order} cannot support depth {depth}; need {depth + 2}"
+        )
+    if s[0] != 0:
+        raise NotCentered("series must vanish at 0")
+    c1, c2 = s[1], s[2]
+    if c1 == 0 or c2 == 0:
+        raise DegenerateHead("normal form needs nonzero h and h^2 coefficients")
+    head = -c2
+    denom = PowerSeries.monomial(c1, 1, s.order) - s
+    d = PowerSeries.monomial(head, 2, s.order).divide(denom)
+    partials = []
+    terminated = False
+    for k in range(1, depth + 1):
+        remainder = PowerSeries.one(d.order) - d
+        if remainder.is_zero():
+            terminated = True
+            break
+        a = remainder[1]
+        if a == 0:
+            raise IrregularExpansion(
+                f"partial numerator {k} vanished but the remainder did not terminate"
+            )
+        partials.append(a)
+        if k < depth:
+            d = PowerSeries.monomial(a, 1, remainder.order).divide(remainder)
+    return CFraction(c1, head, tuple(partials), None, terminated)
+
+
+def _rational_source(leading, head, partials, order):
+    # leading*h - head*h^2/(1 - a1*h/(1 - ...)), a rational function whose
+    # expansion terminates after the given partials
+    tail = PowerSeries.one(order)
+    for a in reversed(partials):
+        tail = PowerSeries.one(order) - PowerSeries.monomial(a, 1, order).divide(tail)
+    return PowerSeries.monomial(leading, 1, order) - PowerSeries.monomial(head, 2, order) / tail
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# zeros and non-dyadic denominators (1/3, 1/7, ...) both common
+sparse_fractions_st = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-20, max_value=20, max_denominator=12)
+)
+nonzero_fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(
+    lambda f: f != 0
+)
+
+
+@given(
+    st.lists(sparse_fractions_st, min_size=1, max_size=12),
+    st.integers(min_value=-1, max_value=10),
+)
+@settings(max_examples=150)
+def test_expand_refusals_match_division_oracle(coeffs, depth):
+    # mostly the checks before the loop: depth, order, constant, head
+    s = PowerSeries(coeffs)
+    assert _outcome(cfrac_expand, s, depth) == _outcome(_expand_by_division, s, depth)
+
+
+@given(
+    nonzero_fractions_st,
+    nonzero_fractions_st,
+    st.lists(sparse_fractions_st, max_size=9),
+    st.integers(min_value=0, max_value=9),
+)
+@settings(max_examples=300)
+def test_expand_matches_division_oracle(c1, c2, tail, depth):
+    # regular sources, and irregular ones where a zero makes a partial vanish
+    s = PowerSeries([F(0), c1, c2] + tail)
+    depth = min(depth, s.order - 2)
+    assert _outcome(cfrac_expand, s, depth) == _outcome(_expand_by_division, s, depth)
+
+
+@given(
+    nonzero_fractions_st,
+    nonzero_fractions_st,
+    st.lists(sparse_fractions_st, max_size=5),
+    st.integers(min_value=0, max_value=4),
+)
+@settings(max_examples=100)
+def test_expand_matches_division_oracle_on_rational_sources(leading, head, partials, extra):
+    # terminating sources, also where a zero partial ends them early
+    depth = len(partials) + extra
+    s = _rational_source(leading, head, partials, depth + 2)
+    assert _outcome(cfrac_expand, s, depth) == _outcome(_expand_by_division, s, depth)

@@ -201,6 +201,32 @@ def test_non_finite_float_flags_are_rejected(capsys, flag, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("value", ["1", "1e300", "1e-3"])
+def test_abs_tol_above_the_ceiling_is_rejected(capsys, value):
+    # a loose AGM stop printed a wrong table with exit 0 (at 1 the AGM ran
+    # no iteration and normalized came out near -2.5e6)
+    code, out, err = invoke(capsys, *ERROR_TABLE_ARGS, "--abs-tol", value)
+    assert code == 2
+    assert out == ""
+    assert "abs_tol must be at most 1e-08" in err
+
+
+def test_abs_tol_at_the_ceiling_matches_the_default(capsys):
+    default = invoke(capsys, *ERROR_TABLE_ARGS)
+    assert invoke(capsys, *ERROR_TABLE_ARGS, "--abs-tol", "1e-8") == default
+    assert default[0] == 0
+
+
+def test_abs_tol_below_float_resolution_still_reports_no_convergence(capsys):
+    code, out, err = invoke(
+        capsys, "error-table", "--lambda-min", "0.3501", "--lambda-max", "0.3501",
+        "--steps", "1", "--abs-tol", "1e-16",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: AGM did not converge in 64 iterations\n"
+
+
 def test_runtime_imports_only_the_standard_library():
     import subprocess
     import sys

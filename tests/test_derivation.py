@@ -166,3 +166,14 @@ def test_ivory_cache_is_thread_safe():
     finally:
         sys.setswitchinterval(interval)
         cache[:] = saved
+
+
+def test_true_inverse_does_not_compose(monkeypatch):
+    # the per-order composition made the reversion O(n^4); guard against
+    # its return without a timing test
+    def refuse(self, inner):
+        raise AssertionError("the reversion must not compose")
+
+    monkeypatch.setattr(PowerSeries, "compose", refuse)
+    true = true_inverse_series(12)
+    assert {k: true[k] for k in REFERENCE_SERIES["true"]} == REFERENCE_SERIES["true"]

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from invarc.numeric import (
+    ABS_TOL_CEILING,
     DEFAULT_CONFIG,
     EXACT_SWEEP_CUTOFF,
     DomainError,
@@ -272,3 +273,11 @@ def test_sweep_matches_mpmath_oracle():
             assert row.normalized == pytest.approx(float(normalized), rel=1e-4), row
             if row.lam > EXACT_SWEEP_CUTOFF:
                 assert abs(row.diff - float(diff)) <= 1e-14, row
+
+
+def test_abs_tol_ceiling():
+    # past 1e-8 the float sweep path misses the 50-digit oracle's bounds
+    assert PrecisionConfig(abs_tol=ABS_TOL_CEILING).abs_tol == 1e-8
+    for tol in (1e-7, 1e-3, 1.0, 1e300):
+        with pytest.raises(DomainError, match="abs_tol must be at most 1e-08"):
+            PrecisionConfig(abs_tol=tol)

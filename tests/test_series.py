@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invarc.derivation import h_series, true_inverse_series
 from invarc.series import (
     DivisionByZeroSeries,
     NonUnitConstant,
@@ -240,3 +241,64 @@ def test_sqrt_squares_back(s):
     r = normalized.sqrt()
     ok, through = (r * r).agreement(normalized)
     assert ok and through == s.order
+
+
+# the kernels against the algorithms they replaced, kept here as oracles
+
+
+def _revert_by_compose(s):
+    # the former reversion: one composition per order, O(n^4)
+    if s.coeffs[0] != 0:
+        raise NotCentered("can only revert a series with zero constant term")
+    if s.order < 1 or s.coeffs[1] == 0:
+        raise ZeroLinearTerm("reversion needs a nonzero linear coefficient")
+    s1 = s.coeffs[1]
+    g = [F(0), 1 / s1]
+    for m in range(2, s.order + 1):
+        value = s.truncate(m).compose(PowerSeries(g + [F(0)]))
+        g.append(-value[m] / s1)
+    return PowerSeries(g)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+# zeros and non-dyadic denominators (1/3, 1/7, ...) both common
+sparse_fractions_st = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-20, max_value=20, max_denominator=12)
+)
+nonzero_fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(
+    lambda f: f != 0
+)
+
+
+@given(
+    st.one_of(st.just(F(0)), sparse_fractions_st),
+    st.one_of(nonzero_fractions_st, sparse_fractions_st),
+    st.lists(sparse_fractions_st, max_size=9),
+)
+@settings(max_examples=200)
+def test_revert_matches_compose_oracle(constant, linear, rest):
+    s = PowerSeries([constant, linear] + rest)
+    assert _outcome(PowerSeries.revert, s) == _outcome(_revert_by_compose, s)
+
+
+def test_true_inverse_24_matches_compose_reversion():
+    assert true_inverse_series(24) == _revert_by_compose(h_series(24))
+
+
+@given(
+    st.lists(sparse_fractions_st, min_size=1, max_size=10),
+    st.lists(sparse_fractions_st, min_size=1, max_size=10),
+)
+@settings(max_examples=200)
+def test_mul_matches_naive_convolution(a, b):
+    n = min(len(a), len(b)) - 1
+    expected = [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)]
+    product = PowerSeries(a) * PowerSeries(b)
+    assert product.coeffs == tuple(expected)
+    assert product.order == n
