@@ -27,7 +27,6 @@ from .cfrac import (
     collapse_to_closed_form,
     convergent_agreement_order,
     freeze_tail,
-    solve_periodic_tail,
 )
 from .derivation import (
     DerivationReport,
@@ -120,6 +119,5 @@ __all__ = [
     "perimeter_series",
     "ramanujan_lambda_sq",
     "ramanujan_series",
-    "solve_periodic_tail",
     "true_inverse_series",
 ]

@@ -218,22 +218,17 @@ def freeze_tail(cf: CFraction, from_index: int, value) -> CFraction:
     return CFraction(cf.leading, cf.head, kept + frozen, from_index, False)
 
 
-def solve_periodic_tail(c) -> TailClosedForm:
-    """Closed form of the all-c periodic tail, branch fixed by B(0) = 1."""
-    return TailClosedForm(Fraction(c))
-
-
 _RAMANUJAN_VALUE = Fraction(3, 4)
 _RAMANUJAN_A1 = Fraction(1, 2)
 
 
-def collapse_to_closed_form(cf: CFraction, order: int = 12) -> ClosedFormExpr:
+def collapse_to_closed_form(cf: CFraction) -> ClosedFormExpr:
     """Collapse the frozen fraction 4h - h^2/(1 - (h/2)/B) with B periodic
     at 3/4 into 4h - 3h^2/(2 + sqrt(1 - 3h)).
 
     The collapse is re-verified internally: the closed form's own expansion
     must match the frozen fraction's expansion (certified at any order,
-    since the periodic tail is materialized) through the given order.
+    since the periodic tail is materialized) through h^12.
     """
     if cf.leading != 4 or cf.head != 1:
         raise NotInRamanujanShape(f"head is ({cf.leading}, {cf.head}), need (4, 1)")
@@ -244,7 +239,7 @@ def collapse_to_closed_form(cf: CFraction, order: int = 12) -> ClosedFormExpr:
     if any(a != _RAMANUJAN_VALUE for a in cf.partials[1:]):
         raise NotInRamanujanShape("frozen value must be 3/4")
     expr = ClosedFormExpr()
-    if cfrac_to_series(cf, order) != expr.to_series(order):
+    if cfrac_to_series(cf, 12) != expr.to_series(12):
         raise CFracError("frozen fraction and closed form disagree; collapse is invalid")
     return expr
 

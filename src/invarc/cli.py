@@ -9,10 +9,11 @@ Subcommands:
     error-table     sweep the closed-form error over a lambda grid (TSV)
     invert          recover semiaxes from perimeter and axis-sum
 
-Exit codes: 0 success, 1 usage error, 2 verification or domain failure.
-Output uses LF line endings and is byte-identical across runs for a given
-invocation; --out writes atomically (temp file in the target directory,
-then rename).
+Exit codes: 0 success, 1 usage error, 2 verification or domain failure or
+an --out file that cannot be written.  Output uses LF line endings and is
+byte-identical across runs for a given invocation; --out writes atomically
+(temp file in the target directory, then rename) with the mode a plain
+write would give.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from fractions import Fraction
 from .cfrac import (
     CFracError,
     NotInRamanujanShape,
+    TailClosedForm,
     cfrac_expand,
     collapse_to_closed_form,
     freeze_tail,
-    solve_periodic_tail,
 )
 from .derivation import full_report, true_inverse_series
 from .numeric import (
@@ -43,6 +44,7 @@ from .numeric import (
     invert_from_measurements,
     lambda_of,
     measured_excess,
+    to_unit_sum,
 )
 from .reference import CFRAC_PARTIALS, REFERENCE_SERIES
 from .series import SeriesError
@@ -112,14 +114,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
+def _write_atomically(text: str, out: str) -> None:
     target = os.path.abspath(out)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".invarc-")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, target)
     except BaseException:
@@ -186,7 +189,7 @@ def _cmd_cfrac(args) -> tuple[str, int]:
             + ", ".join(frozen.partial_strings())
             + " (periodic)"
         )
-        tail = solve_periodic_tail(args.freeze)
+        tail = TailClosedForm(args.freeze)
         lines.append(f"tail closed form: {tail}")
         try:
             closed = collapse_to_closed_form(frozen)
@@ -234,11 +237,14 @@ def _cmd_error_table(args) -> tuple[str, int]:
 
 def _cmd_invert(args) -> tuple[str, int]:
     ellipse = invert_from_measurements(args.perimeter, args.axis_sum)
+    # the shape depends only on perimeter/sum; read it off the ellipse at unit
+    # scale, whose semiaxes a subnormal sum cannot round away
+    unit = invert_from_measurements(*to_unit_sum(args.perimeter, args.axis_sum))
     h = measured_excess(args.perimeter, args.axis_sum)
     lines = [
         f"a: {ellipse.a:.17g}",
         f"b: {ellipse.b:.17g}",
-        f"lambda: {lambda_of(ellipse):.17g}",
+        f"lambda: {lambda_of(unit):.17g}",
         f"h: {h:.17g}",
     ]
     return "\n".join(lines) + "\n", 0
@@ -268,5 +274,13 @@ def run(argv=None) -> int:
     except (NumericError, CFracError, SeriesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, getattr(args, "out", None))
+    out = getattr(args, "out", None)
+    if out is None:
+        sys.stdout.write(text)
+        return code
+    try:
+        _write_atomically(text, out)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return code

@@ -113,24 +113,23 @@ class DerivationReport:
         return "\n".join(lines) + "\n"
 
 
-def full_report(order: int = 12, depth: int | None = None) -> DerivationReport:
+def full_report(order: int) -> DerivationReport:
     """Run the whole pipeline at one working order.
 
-    The continued fraction is taken to depth min(order - 2, depth); orders
-    below 8 cannot certify the h^6..h^8 error coefficients and are refused.
+    The continued fraction is taken to depth order - 2, the most the true
+    inverse certifies; orders below 8 cannot certify the h^6..h^8 error
+    coefficients and are refused.
     """
     if order < 8:
         raise ValueError("order must be at least 8 to certify the error law")
     true = true_inverse_series(order)
     approx = ramanujan_series(order)
-    cap = order - 2
-    eff_depth = cap if depth is None else min(depth, cap)
     return DerivationReport(
         ivory=ivory_series(order),
         h_series=h_series(order),
         true_series=true,
         approx_series=approx,
         difference=true - approx,
-        cfrac_true=cfrac_expand(true, eff_depth),
+        cfrac_true=cfrac_expand(true, order - 2),
         working_order=order,
     )

@@ -61,17 +61,17 @@ class Ellipse:
 ABS_TOL_CEILING = 1e-8
 
 
+# Iteration caps: the AGM converges quadratically, the series only linearly.
+AGM_MAX_ITER = 64
+SERIES_MAX_TERMS = 10000
+
+
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Stopping control for the iterative engines.
-
-    abs_tol must lie in (0, ABS_TOL_CEILING].  max_iter = None means each
-    engine's own default cap: 64 for the quadratically convergent AGM,
-    10000 for the series summation.
-    """
+    """Stopping control for the iterative engines; abs_tol lies in
+    (0, ABS_TOL_CEILING]."""
 
     abs_tol: float = 1e-14
-    max_iter: int | None = None
 
     def __post_init__(self):
         if not (0 < self.abs_tol < math.inf):
@@ -80,16 +80,6 @@ class PrecisionConfig:
             raise DomainError(
                 f"abs_tol must be at most {ABS_TOL_CEILING:g}, got {self.abs_tol}"
             )
-        if self.max_iter is not None and self.max_iter < 1:
-            raise DomainError("max_iter must be at least 1")
-
-    @property
-    def agm_cap(self) -> int:
-        return 64 if self.max_iter is None else self.max_iter
-
-    @property
-    def series_cap(self) -> int:
-        return 10000 if self.max_iter is None else self.max_iter
 
 
 DEFAULT_CONFIG = PrecisionConfig()
@@ -143,11 +133,11 @@ def perimeter_series(e: Ellipse, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float
     """
     lam = lambda_of(e)
     terms = [1.0]
-    for term in _ivory_terms(lam * lam, cfg.series_cap):
+    for term in _ivory_terms(lam * lam, SERIES_MAX_TERMS):
         if term < cfg.abs_tol:
             return math.pi * (e.a + e.b) * math.fsum(terms)
         terms.append(term)
-    raise NoConvergence(f"series did not reach tol {cfg.abs_tol} in {cfg.series_cap} terms")
+    raise NoConvergence(f"series did not reach tol {cfg.abs_tol} in {SERIES_MAX_TERMS} terms")
 
 
 def perimeter_agm(e: Ellipse, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
@@ -167,8 +157,8 @@ def perimeter_agm(e: Ellipse, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
     iterations = 0
     while abs(x - y) > cfg.abs_tol:
         iterations += 1
-        if iterations > cfg.agm_cap:
-            raise NoConvergence(f"AGM did not converge in {cfg.agm_cap} iterations")
+        if iterations > AGM_MAX_ITER:
+            raise NoConvergence(f"AGM did not converge in {AGM_MAX_ITER} iterations")
         c = 0.5 * (x - y)
         x, y = 0.5 * (x + y), math.sqrt(x * y)
         csum += weight * c * c
@@ -199,7 +189,7 @@ def _exact_sqrt_floor(value: Fraction, bits: int) -> Fraction:
     return Fraction(math.isqrt((p * q) << (2 * bits)), q << bits)
 
 
-def _exact_row(lam: float, cfg: PrecisionConfig) -> ErrorRow:
+def _exact_row(lam: float) -> ErrorRow:
     """One sweep row in exact rational arithmetic.
 
     h is the perimeter-series excess summed at the exact rational lambda
@@ -212,7 +202,7 @@ def _exact_row(lam: float, cfg: PrecisionConfig) -> ErrorRow:
     x = lam_exact * lam_exact
     target = (x / 4) ** 6 / 10**8
     h = Fraction(0)
-    for n, term in enumerate(_ivory_terms(x, cfg.series_cap), start=1):
+    for n, term in enumerate(_ivory_terms(x, SERIES_MAX_TERMS), start=1):
         if n > 1 and 2 * term <= target:
             # remaining tail < 2*term for lambda <= the cutoff
             break
@@ -252,14 +242,32 @@ def error_sweep(lambda_grid, cfg: PrecisionConfig = DEFAULT_CONFIG) -> list[Erro
         if lam == 0.0:
             rows.append(ErrorRow(0.0, 0.0, 0.0, 0.0, 0.0, -1.0))
         elif lam <= EXACT_SWEEP_CUTOFF:
-            rows.append(_exact_row(lam, cfg))
+            rows.append(_exact_row(lam))
         else:
             rows.append(_float_row(lam, cfg))
     return rows
 
 
+def to_unit_sum(perimeter: float, axis_sum: float) -> tuple[float, float]:
+    """Perimeter and axis sum times the one power of two that puts the sum in
+    [0.5, 1).
+
+    h, lambda and the feasibility bounds depend only on the ratio of the two.
+    At this scale pi*sum and the semiaxes are normal floats even when the sum
+    is subnormal, where computing them directly would round most of their
+    digits away.  The scaling is exact for a perimeter of at most 4*sum; one
+    beyond the float range at the new scale becomes an infinity.
+    """
+    mantissa, exponent = math.frexp(axis_sum)
+    try:
+        return math.ldexp(perimeter, -exponent), mantissa
+    except OverflowError:
+        return math.copysign(math.inf, perimeter), mantissa
+
+
 def measured_excess(perimeter: float, axis_sum: float) -> float:
     """h = L/(pi*s) - 1 for a perimeter L and axis sum s, floored at 0."""
+    perimeter, axis_sum = to_unit_sum(perimeter, axis_sum)
     return max(0.0, perimeter / (math.pi * axis_sum) - 1.0)
 
 
@@ -275,15 +283,16 @@ def invert_from_measurements(perimeter: float, axis_sum: float) -> Ellipse:
         raise DomainError(f"perimeter and axis sum must be finite, got {perimeter} and {axis_sum}")
     if not (axis_sum > 0):
         raise DomainError(f"axis sum must be positive, got {axis_sum}")
-    lower = math.pi * axis_sum
-    upper = 4.0 * axis_sum
-    if perimeter < lower:
+    # 4*s never rounds (an overflow to inf still compares right); pi*s is
+    # compared at unit scale, where it cannot be subnormal
+    if perimeter > 4.0 * axis_sum:
         raise OutOfRange(
-            f"perimeter {perimeter} below the circle bound pi*sum = {lower}"
+            f"perimeter {perimeter} above the degenerate bound 4*sum = {4.0 * axis_sum}"
         )
-    if perimeter > upper:
+    unit_perimeter, unit_sum = to_unit_sum(perimeter, axis_sum)
+    if unit_perimeter < math.pi * unit_sum:
         raise OutOfRange(
-            f"perimeter {perimeter} above the degenerate bound 4*sum = {upper}"
+            f"perimeter {perimeter} below the circle bound pi*sum = {math.pi * axis_sum}"
         )
     h = measured_excess(perimeter, axis_sum)
     lam = min(1.0, math.sqrt(ramanujan_lambda_sq(h)))

@@ -109,10 +109,6 @@ class PowerSeries:
         c.extend(Fraction(0) for _ in range(order + 1 - len(c)))
         return cls(c)
 
-    @classmethod
-    def from_strings(cls, strings: Sequence[str]) -> "PowerSeries":
-        return cls(Fraction(s) for s in strings)
-
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -148,14 +144,6 @@ class PowerSeries:
 
     def to_strings(self) -> list[str]:
         return [str(c) for c in self._coeffs]
-
-    def evaluate(self, point: Coefficient) -> Fraction:
-        """Exact value of the truncated polynomial at a rational point."""
-        x = _frac(point)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
 
     # -- comparison ------------------------------------------------------
 
@@ -220,14 +208,6 @@ class PowerSeries:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "PowerSeries":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only non-negative integer powers")
-        result = PowerSeries.one(self.order)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     # -- division, sqrt, composition, reversion --------------------------
 

@@ -16,12 +16,12 @@ from invarc.cfrac import (
     InsufficientOrder,
     IrregularExpansion,
     NotInRamanujanShape,
+    TailClosedForm,
     cfrac_expand,
     cfrac_to_series,
     collapse_to_closed_form,
     convergent_agreement_order,
     freeze_tail,
-    solve_periodic_tail,
 )
 from invarc.derivation import true_inverse_series
 from invarc.series import NotCentered, PowerSeries
@@ -196,7 +196,7 @@ def test_freeze_from_1_replaces_everything():
 def test_tail_closed_form_satisfies_quadratic():
     # B = 1 - ch/B with B(0) = 1 means B^2 - B + ch = 0
     for c in (F(3, 4), F(1, 2), F(2, 7)):
-        tail = solve_periodic_tail(c)
+        tail = TailClosedForm(c)
         b = tail.to_series(10)
         ch = PowerSeries.monomial(c, 1, 10)
         residue = b * b - b + ch
@@ -205,7 +205,7 @@ def test_tail_closed_form_satisfies_quadratic():
 
 
 def test_tail_closed_form_string():
-    assert str(solve_periodic_tail(F(3, 4))) == "(1 + sqrt(1 - 3h))/2"
+    assert str(TailClosedForm(F(3, 4))) == "(1 + sqrt(1 - 3h))/2"
 
 
 def test_collapse_gives_canonical_string():

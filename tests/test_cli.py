@@ -1,8 +1,14 @@
 """CLI behavior: exit codes, output formats, atomic writes, determinism."""
 
+import contextlib
+import io
+import math
+import os
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invarc.cli import run
 
@@ -65,6 +71,32 @@ def test_verify_series_out_file(tmp_path, capsys):
     assert target.read_text() == (FIXTURES / "verify_series_order12.tsv").read_text()
     # no temp files left behind
     assert [p.name for p in target.parent.iterdir()] == ["table.tsv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_out_file_gets_the_mode_of_a_plain_write(tmp_path, capsys, umask):
+    target = tmp_path / "table.tsv"
+    previous = os.umask(umask)
+    try:
+        code, _, _ = invoke(capsys, "verify-series", "--out", str(target))
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("name", ["missing/table.tsv", "a_directory"])
+def test_out_unwritable_target_is_one_error_line(tmp_path, capsys, name):
+    (tmp_path / "a_directory").mkdir()
+    target = tmp_path / name
+    code, out, err = invoke(capsys, "verify-series", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
+    # no temp file left behind, in the target's directory or next to it
+    assert [p.name for p in tmp_path.iterdir()] == ["a_directory"]
+    assert list((tmp_path / "a_directory").iterdir()) == []
 
 
 def test_cfrac_default(capsys):
@@ -161,6 +193,18 @@ def test_invert_out_of_range(capsys):
     assert "below the circle bound" in err
 
 
+def test_invert_subnormal_sum(capsys):
+    # 71 and 20 units of 2^-1074: pi*sum is subnormal and used to round to
+    # 63 units, printing h 0.12698412698412698 and lambda 0.69999999999999996
+    code, out, _ = invoke(capsys, "invert", "--perimeter", "3.5e-322", "--sum", "1e-322")
+    assert code == 0
+    printed = dict(line.split(": ") for line in out.splitlines())
+    h = 71 / (20 * math.pi) - 1
+    lam = math.sqrt(4 * h - 3 * h * h / (2 + math.sqrt(1 - 3 * h)))
+    assert float(printed["h"]) == pytest.approx(h, rel=1e-15)
+    assert float(printed["lambda"]) == pytest.approx(lam, rel=1e-15)
+
+
 def test_invert_requires_arguments(capsys):
     code, _, err = invoke(capsys, "invert", "--perimeter", "5.0")
     assert code == 1
@@ -243,3 +287,89 @@ def test_runtime_imports_only_the_standard_library():
     assert "invarc.cli" in loaded
     foreign = {"scipy", "mpmath", "sympy", "hypothesis", "numpy"}
     assert [m for m in loaded if m.split(".")[0] in foreign] == []
+
+
+# Extreme finite values for every float flag, subnormals included; integer
+# flags stay small so that no case builds a huge grid or a deep expansion.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+ABS_TOL = st.one_of(FINITE, st.floats(min_value=0.0, max_value=1e-8))
+
+
+def flag(name, value):
+    # "--flag=-1e-300" keeps argparse from reading the value as an option
+    return f"{name}={value!r}"
+
+
+def invoke_extreme(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)  # any exception escaping run() fails the test
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    return code, out.getvalue()
+
+
+@given(st.one_of(FINITE, UNIT), st.one_of(FINITE, UNIT), st.integers(1, 50), ABS_TOL)
+@settings(max_examples=60, deadline=None)
+def test_extreme_error_table_flags(lo, hi, steps, abs_tol):
+    invoke_extreme([
+        "error-table", flag("--lambda-min", lo), flag("--lambda-max", hi),
+        "--steps", str(steps), flag("--abs-tol", abs_tol),
+    ])
+
+
+HUGE = 10**400
+FRACTION_TEXT = st.one_of(
+    st.builds("{}/{}".format, st.integers(-HUGE, HUGE), st.integers(1, HUGE)),
+    st.builds("{}e{}".format, st.integers(-HUGE, HUGE), st.integers(-400, 400)),
+)
+
+
+@given(st.integers(1, 12), FRACTION_TEXT, st.integers(1, 14), st.integers(8, 16))
+@settings(max_examples=60, deadline=None)
+def test_extreme_cfrac_and_order_flags(depth, freeze, freeze_from, order):
+    invoke_extreme([
+        "cfrac", "--depth", str(depth), f"--freeze={freeze}",
+        "--freeze-from", str(freeze_from),
+    ])
+    invoke_extreme(["verify-series", "--order", str(order)])
+
+
+@st.composite
+def measurements(draw):
+    """(perimeter, sum) from the whole finite range, or a sum with a binary
+    exponent from the whole range, subnormal ones weighted up, and a
+    perimeter near the feasible [pi, 4] multiple of it."""
+    if draw(st.booleans()):
+        return draw(FINITE), draw(FINITE)
+    exponent = draw(st.one_of(st.integers(-1074, -1020), st.integers(-1074, 1024)))
+    axis_sum = math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), exponent)
+    perimeter = axis_sum * draw(st.floats(min_value=3.0, max_value=4.2))
+    return (perimeter if math.isfinite(perimeter) else axis_sum), axis_sum
+
+
+@given(measurements())
+@settings(max_examples=300, deadline=None)
+def test_extreme_invert_flags_match_mpmath(pair):
+    mpmath = pytest.importorskip("mpmath")
+    perimeter, axis_sum = pair
+    code, out = invoke_extreme(
+        ["invert", flag("--perimeter", perimeter), flag("--sum", axis_sum)]
+    )
+    if code != 0:
+        return
+    printed = {key: float(value) for key, value in (line.split(": ") for line in out.splitlines())}
+
+    def closed_form_lambda(h):
+        h = min(max(h, 0), mpmath.mpf(1) / 3)
+        return min(1, mpmath.sqrt(4 * h - 3 * h**2 / (2 + mpmath.sqrt(1 - 3 * h))))
+
+    ulp = 2.0**-52
+    with mpmath.workdps(50):
+        h = mpmath.mpf(perimeter) / (mpmath.pi * mpmath.mpf(axis_sum)) - 1
+        # h is 1+h less 1, so a few ulps of 1 is its float resolution; lambda
+        # may then lie anywhere between the closed form's values at those ends
+        assert abs(printed["h"] - h) <= 4 * ulp, (pair, out)
+        low = closed_form_lambda(h - 4 * ulp) - 8 * ulp
+        high = closed_form_lambda(h + 4 * ulp) + 8 * ulp
+        assert low <= printed["lambda"] <= high, (pair, out)

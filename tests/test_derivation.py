@@ -101,7 +101,7 @@ def test_full_report_requires_order_8():
 
 
 def test_full_report_depth_capped_by_order():
-    report = full_report(10, depth=50)
+    report = full_report(10)
     assert report.cfrac_true.depth == 8
     assert isinstance(report, DerivationReport)
 

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 from invarc.numeric import (
     ABS_TOL_CEILING,
-    DEFAULT_CONFIG,
+    AGM_MAX_ITER,
     EXACT_SWEEP_CUTOFF,
     DomainError,
     Ellipse,
@@ -18,10 +18,12 @@ from invarc.numeric import (
     NoConvergence,
     OutOfRange,
     PrecisionConfig,
+    SERIES_MAX_TERMS,
     error_sweep,
     h_of,
     invert_from_measurements,
     lambda_of,
+    measured_excess,
     perimeter_agm,
     perimeter_series,
     ramanujan_lambda_sq,
@@ -89,21 +91,19 @@ def test_engines_agree_up_to_lambda_09():
 def test_series_engine_gives_up_near_degenerate():
     # lambda -> 1 makes the series converge too slowly for any sane cap
     with pytest.raises(NoConvergence):
-        perimeter_series(Ellipse(1.999999, 1e-6), PrecisionConfig(max_iter=500))
+        perimeter_series(Ellipse(1.999999, 1e-6))
 
 
 def test_agm_iteration_cap():
-    with pytest.raises(NoConvergence):
-        perimeter_agm(Ellipse(2.0, 1.0), PrecisionConfig(max_iter=1))
+    with pytest.raises(NoConvergence, match="AGM did not converge in 64 iterations"):
+        perimeter_agm(Ellipse(1.3501, 0.6499), PrecisionConfig(abs_tol=1e-16))
 
 
 def test_precision_config_validation():
     with pytest.raises(DomainError):
         PrecisionConfig(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        PrecisionConfig(max_iter=0)
-    assert DEFAULT_CONFIG.agm_cap == 64
-    assert DEFAULT_CONFIG.series_cap == 10000
+    assert AGM_MAX_ITER == 64
+    assert SERIES_MAX_TERMS == 10000
 
 
 def test_h_of_2_by_1():
@@ -219,6 +219,18 @@ def test_invert_bracket_violations():
         invert_from_measurements(4.01, 1.0)
     with pytest.raises(DomainError):
         invert_from_measurements(3.5, 0.0)
+
+
+def test_invert_depends_only_on_the_ratio():
+    unit = 2.0**-1074
+    # pi*sum is subnormal: 3 units of perimeter against pi units was taken
+    # for a circle, and 71 against 20*pi units gave h 0.127 instead of 0.130
+    with pytest.raises(OutOfRange, match="below the circle bound"):
+        invert_from_measurements(3 * unit, unit)
+    assert measured_excess(71 * unit, 20 * unit) == measured_excess(71.0, 20.0)
+    # a huge negative perimeter is below the circle bound, not an overflow
+    with pytest.raises(OutOfRange, match="below the circle bound"):
+        invert_from_measurements(-8.98846567431158e307, 0.25)
 
 
 @given(st.floats(min_value=0.001, max_value=0.9))
