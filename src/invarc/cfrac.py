@@ -17,8 +17,8 @@ Everything is exact rational arithmetic; no floats enter this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .series import PowerSeries, NotCentered, _scaled
 
@@ -55,8 +55,7 @@ class NotInRamanujanShape(CFracError):
     """Collapse requested for a fraction outside the supported shape."""
 
 
-@dataclass(frozen=True)
-class CFraction:
+class CFraction(NamedTuple):
     """Normal-form continued fraction data.
 
     periodic_from, when set, is the 1-based index from which every partial
@@ -80,8 +79,7 @@ class CFraction:
         return [str(a) for a in self.partials]
 
 
-@dataclass(frozen=True)
-class TailClosedForm:
+class TailClosedForm(NamedTuple):
     """Closed form of a periodic tail B = 1 - c*h/B with B(0) = 1.
 
     Solving the quadratic B^2 - B + c*h = 0 and picking the branch that is
@@ -105,7 +103,6 @@ class TailClosedForm:
         return f"(1 + sqrt({self.radicand_string()}))/2"
 
 
-@dataclass(frozen=True)
 class ClosedFormExpr:
     """Ramanujan's closed form 4h - 3h^2/(2 + sqrt(1 - 3h)).
 

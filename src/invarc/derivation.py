@@ -11,9 +11,8 @@ the true inverse.  :func:`full_report` bundles all of it.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .cfrac import CFraction, ClosedFormExpr, cfrac_expand
 from .series import PowerSeries
@@ -68,8 +67,7 @@ def difference_series(order: int) -> PowerSeries:
     return true_inverse_series(order) - ramanujan_series(order)
 
 
-@dataclass(frozen=True)
-class DerivationReport:
+class DerivationReport(NamedTuple):
     """Every series of the pipeline at one working order, plus the fraction."""
 
     ivory: PowerSeries

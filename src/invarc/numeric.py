@@ -17,7 +17,8 @@ uses the plain float engines, whose error is then far below the signal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -40,18 +41,17 @@ class OutOfRange(NumericError):
     """Measurement outside the feasible bracket."""
 
 
-@dataclass(frozen=True)
-class Ellipse:
+class Ellipse(NamedTuple("Ellipse", [("a", float), ("b", float)])):
     """Finite semiaxes a >= b >= 0 with a > 0; b = 0 is the degenerate segment."""
 
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 < self.a < math.inf):
-            raise DomainError(f"semimajor axis must be positive and finite, got {self.a}")
-        if not (self.a >= self.b >= 0):
-            raise DomainError(f"need a >= b >= 0, got a={self.a}, b={self.b}")
+    def __new__(cls, a: float, b: float):
+        if not (0 < a < math.inf):
+            raise DomainError(f"semimajor axis must be positive and finite, got {a}")
+        if not (a >= b >= 0):
+            raise DomainError(f"need a >= b >= 0, got a={a}, b={b}")
+        return super().__new__(cls, a, b)
 
 
 # Largest accepted abs_tol.  A looser AGM stop makes the float sweep path
@@ -66,20 +66,18 @@ AGM_MAX_ITER = 64
 SERIES_MAX_TERMS = 10000
 
 
-@dataclass(frozen=True)
-class PrecisionConfig:
+class PrecisionConfig(NamedTuple("PrecisionConfig", [("abs_tol", float)])):
     """Stopping control for the iterative engines; abs_tol lies in
     (0, ABS_TOL_CEILING]."""
 
-    abs_tol: float = 1e-14
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 < self.abs_tol < math.inf):
-            raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        if self.abs_tol > ABS_TOL_CEILING:
-            raise DomainError(
-                f"abs_tol must be at most {ABS_TOL_CEILING:g}, got {self.abs_tol}"
-            )
+    def __new__(cls, abs_tol: float = 1e-14):
+        if not (0 < abs_tol < math.inf):
+            raise DomainError(f"abs_tol must be positive and finite, got {abs_tol}")
+        if abs_tol > ABS_TOL_CEILING:
+            raise DomainError(f"abs_tol must be at most {ABS_TOL_CEILING:g}, got {abs_tol}")
+        return super().__new__(cls, abs_tol)
 
 
 DEFAULT_CONFIG = PrecisionConfig()
@@ -195,8 +193,8 @@ def _exact_row(lam: float) -> ErrorRow:
     h is the perimeter-series excess summed at the exact rational lambda
     until the dropped tail is below (lambda^2/4)^6 / 1e8, i.e. far below
     the h^6/32 signal; sqrt(1 - 3h) is bounded from below by a scaled
-    integer square root tight enough that the normalized column keeps
-    better than 1e-4 relative accuracy at every lambda.
+    integer square root tight enough that the diff and normalized columns
+    keep better than 1e-5 relative accuracy at every lambda.
     """
     lam_exact = Fraction(lam)
     x = lam_exact * lam_exact
@@ -204,7 +202,8 @@ def _exact_row(lam: float) -> ErrorRow:
     h = Fraction(0)
     for n, term in enumerate(_ivory_terms(x, SERIES_MAX_TERMS), start=1):
         if n > 1 and 2 * term <= target:
-            # remaining tail < 2*term for lambda <= the cutoff
+            # terms fall by more than a factor x, so the dropped tail is
+            # below term/(1 - x), at most 2*term for x <= 0.1225 = 0.35^2
             break
         h += term
     else:
@@ -271,6 +270,22 @@ def measured_excess(perimeter: float, axis_sum: float) -> float:
     return max(0.0, perimeter / (math.pi * axis_sum) - 1.0)
 
 
+def _circle_bound(axis_sum: float) -> str:
+    """pi*sum as the circle-bound refusal prints it.
+
+    Where pi*sum is subnormal its float keeps only a few bits and can print
+    as the very perimeter it refuses; there the unit-scale bound is rescaled
+    exactly (p/2^k is p*5^k/10^k) and shown to 17 significant digits.
+    """
+    bound = math.pi * axis_sum
+    if bound >= sys.float_info.min:
+        return f"{bound}"
+    mantissa, exponent = math.frexp(axis_sum)
+    numerator, denominator = (math.pi * mantissa).as_integer_ratio()
+    shift = denominator.bit_length() - 1 - exponent
+    return f"{Decimal(f'{numerator * 5**shift}e-{shift}'):.17g}"
+
+
 def invert_from_measurements(perimeter: float, axis_sum: float) -> Ellipse:
     """Recover semiaxes from a perimeter L and the sum s = a + b.
 
@@ -292,7 +307,7 @@ def invert_from_measurements(perimeter: float, axis_sum: float) -> Ellipse:
     unit_perimeter, unit_sum = to_unit_sum(perimeter, axis_sum)
     if unit_perimeter < math.pi * unit_sum:
         raise OutOfRange(
-            f"perimeter {perimeter} below the circle bound pi*sum = {math.pi * axis_sum}"
+            f"perimeter {perimeter} below the circle bound pi*sum = {_circle_bound(axis_sum)}"
         )
     h = measured_excess(perimeter, axis_sum)
     lam = min(1.0, math.sqrt(ramanujan_lambda_sq(h)))

@@ -205,6 +205,26 @@ def test_invert_subnormal_sum(capsys):
     assert float(printed["lambda"]) == pytest.approx(lam, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "perimeter, axis_sum, bound",
+    [
+        # pi*sum is subnormal and rounds to a few bits, in the first case to
+        # the perimeter itself; the bound printed is the unit-scale pi*sum
+        # rescaled exactly, to 17 significant digits
+        ("1.5e-323", "5e-324", "1.5521530033659567e-323"),
+        ("3e-322", "1e-322", "3.1043060067319133e-322"),
+        # a normal pi*sum prints as the float, as it always has
+        ("6", "2", "6.283185307179586"),
+    ],
+)
+def test_invert_circle_bound_message(capsys, perimeter, axis_sum, bound):
+    code, out, err = invoke(capsys, "invert", "--perimeter", perimeter, "--sum", axis_sum)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: perimeter {float(perimeter)} below the circle bound pi*sum = {bound}\n"
+    )
+
+
 def test_invert_requires_arguments(capsys):
     code, _, err = invoke(capsys, "invert", "--perimeter", "5.0")
     assert code == 1
@@ -287,6 +307,9 @@ def test_runtime_imports_only_the_standard_library():
     assert "invarc.cli" in loaded
     foreign = {"scipy", "mpmath", "sympy", "hypothesis", "numpy"}
     assert [m for m in loaded if m.split(".")[0] in foreign] == []
+    # the records are NamedTuples: dataclasses and the inspect machinery it
+    # pulls in would more than double the import time
+    assert [m for m in loaded if m in ("dataclasses", "inspect")] == []
 
 
 # Extreme finite values for every float flag, subnormals included; integer

@@ -1,6 +1,7 @@
 """Floating-point engines, the error sweep, and inversion."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -285,6 +286,33 @@ def test_sweep_matches_mpmath_oracle():
             assert row.normalized == pytest.approx(float(normalized), rel=1e-4), row
             if row.lam > EXACT_SWEEP_CUTOFF:
                 assert abs(row.diff - float(diff)) <= 1e-14, row
+
+
+# seeded log-uniform lambdas over the exact path's range, its cutoff, and
+# lambdas whose h, diff or lambda^2 underflow or are subnormal
+WHOLE_RANGE_LAMBDAS = sorted(
+    [10 ** random.Random(20260).uniform(-12, math.log10(EXACT_SWEEP_CUTOFF)) for _ in range(60)]
+    + [EXACT_SWEEP_CUTOFF, 1e-150, 1e-200, 2.5e-310, 5e-324]
+)
+
+
+def test_exact_sweep_path_matches_mpmath_over_its_whole_range():
+    # The oracle of test_sweep_matches_mpmath_oracle at digits set from
+    # lambda: h ~ lambda^2/4 cancels 2|log10 lambda| digits in the "- 1"
+    # and diff ~ -h^6/32 another 10|log10 lambda| against lambda^2.
+    mpmath = pytest.importorskip("mpmath")
+    for row in error_sweep(WHOLE_RANGE_LAMBDAS):
+        with mpmath.workdps(int(60 - 12 * math.log10(row.lam))):
+            lam = mpmath.mpf(row.lam)
+            a, b = 1 + lam, 1 - lam
+            h = 4 * a * mpmath.ellipe(1 - (b / a) ** 2) / (mpmath.pi * (a + b)) - 1
+            approx = 4 * h - 3 * h**2 / (2 + mpmath.sqrt(1 - 3 * h))
+            diff = lam**2 - approx
+            normalized = 32 * diff / h**6
+        assert abs(row.h - float(h)) <= math.ulp(float(h)), row
+        assert abs(row.lambda_sq_approx - float(approx)) <= math.ulp(float(approx)), row
+        assert row.diff == pytest.approx(float(diff), rel=1e-5, abs=0), row
+        assert row.normalized == pytest.approx(float(normalized), rel=1e-5, abs=0), row
 
 
 def test_abs_tol_ceiling():

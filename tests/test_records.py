@@ -1,0 +1,72 @@
+"""The package's records: immutable, hashable, with a Name(field=value) repr,
+and the two validating records refuse bad input however it is passed."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from invarc.cfrac import CFraction, ClosedFormExpr, TailClosedForm
+from invarc.derivation import full_report
+from invarc.numeric import DomainError, Ellipse, PrecisionConfig
+
+CLOSED_FORM = ClosedFormExpr()
+
+# (factory, field names, bad field values with the message each gets); each
+# call of the factory builds an equal instance
+RECORDS = [
+    pytest.param(
+        lambda: CFraction(F(4), F(1), (F(1, 2), F(3, 4)), 2),
+        ("leading", "head", "partials", "periodic_from", "terminated"),
+        (),
+        id="CFraction",
+    ),
+    pytest.param(lambda: TailClosedForm(F(3, 4)), ("numerator_coeff",), (), id="TailClosedForm"),
+    # fieldless and compared by identity, so one instance stands for both
+    pytest.param(lambda: CLOSED_FORM, (), (), id="ClosedFormExpr"),
+    pytest.param(
+        lambda: full_report(8),
+        ("ivory", "h_series", "true_series", "approx_series", "difference", "cfrac_true",
+         "working_order"),
+        (),
+        id="DerivationReport",
+    ),
+    pytest.param(
+        lambda: Ellipse(1.0, 0.5),
+        ("a", "b"),
+        (
+            ((0.0, 0.0), "semimajor axis must be positive and finite, got 0.0"),
+            ((float("inf"), 1.0), "semimajor axis must be positive and finite, got inf"),
+            ((0.5, 1.0), "need a >= b >= 0, got a=0.5, b=1.0"),
+            ((1.0, -0.5), "need a >= b >= 0, got a=1.0, b=-0.5"),
+        ),
+        id="Ellipse",
+    ),
+    pytest.param(
+        lambda: PrecisionConfig(),
+        ("abs_tol",),
+        (
+            ((-1.0,), "abs_tol must be positive and finite, got -1.0"),
+            ((float("nan"),), "abs_tol must be positive and finite, got nan"),
+            ((1e-3,), "abs_tol must be at most 1e-08, got 0.001"),
+        ),
+        id="PrecisionConfig",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, fields, rejects", RECORDS)
+def test_records_are_frozen_hashable_keep_their_repr_and_checks(make, fields, rejects):
+    record, twin = make(), make()
+    assert record == twin and hash(record) == hash(twin)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    if fields:
+        body = ", ".join(f"{name}={getattr(record, name)!r}" for name in fields)
+        assert repr(record) == f"{type(record).__name__}({body})"
+    cls = type(record)
+    for args, message in rejects:
+        for call in (lambda: cls(*args), lambda: cls(**dict(zip(fields, args)))):
+            with pytest.raises(DomainError) as excinfo:
+                call()
+            assert str(excinfo.value) == message
