@@ -13,9 +13,8 @@ independent floating-point perimeter engines.
 from .cfrac import (
     CFracError,
     CFraction,
-    ClosedFormExpr,
+    CLOSED_FORM,
     DegenerateHead,
-    HeadMismatch,
     IndexOutOfRange,
     InsufficientDepth,
     InsufficientOrder,
@@ -25,12 +24,10 @@ from .cfrac import (
     cfrac_expand,
     cfrac_to_series,
     collapse_to_closed_form,
-    convergent_agreement_order,
     freeze_tail,
 )
 from .derivation import (
     DerivationReport,
-    difference_series,
     full_report,
     h_series,
     ivory_coefficient,
@@ -73,7 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CFracError",
     "CFraction",
-    "ClosedFormExpr",
+    "CLOSED_FORM",
     "DEFAULT_CONFIG",
     "DegenerateHead",
     "DerivationReport",
@@ -83,7 +80,6 @@ __all__ = [
     "EXACT_SWEEP_CUTOFF",
     "Ellipse",
     "ErrorRow",
-    "HeadMismatch",
     "IndexOutOfRange",
     "InsufficientDepth",
     "InsufficientOrder",
@@ -104,8 +100,6 @@ __all__ = [
     "cfrac_expand",
     "cfrac_to_series",
     "collapse_to_closed_form",
-    "convergent_agreement_order",
-    "difference_series",
     "error_sweep",
     "freeze_tail",
     "full_report",

@@ -47,10 +47,6 @@ class IrregularExpansion(CFracError):
     """A partial numerator vanished while the remainder did not terminate."""
 
 
-class HeadMismatch(CFracError):
-    """Agreement comparison between fractions with different heads."""
-
-
 class NotInRamanujanShape(CFracError):
     """Collapse requested for a fraction outside the supported shape."""
 
@@ -103,24 +99,17 @@ class TailClosedForm(NamedTuple):
         return f"(1 + sqrt({self.radicand_string()}))/2"
 
 
-class ClosedFormExpr:
-    """Ramanujan's closed form 4h - 3h^2/(2 + sqrt(1 - 3h)).
+CLOSED_FORM = "4h - 3h^2/(2 + sqrt(1 - 3h))"
 
-    Not a general expression tree: the one closed form is all that is needed.
-    """
 
-    def canonical_string(self) -> str:
-        return "4h - 3h^2/(2 + sqrt(1 - 3h))"
-
-    def to_series(self, order: int) -> PowerSeries:
-        if order < 2:
-            raise ValueError("need order >= 2 to expand the closed form")
-        root = PowerSeries.polynomial([1, -3], order).sqrt()
-        den = PowerSeries.monomial(2, 0, order) + root
-        num = PowerSeries.monomial(3, 2, order)
-        return PowerSeries.monomial(4, 1, order) - num.divide(den)
-
-    __str__ = canonical_string
+def ramanujan_series(order: int) -> PowerSeries:
+    """Series expansion of the closed form 4h - 3h^2/(2 + sqrt(1 - 3h))."""
+    if order < 2:
+        raise ValueError("need order >= 2 to expand the closed form")
+    root = PowerSeries.polynomial([1, -3], order).sqrt()
+    den = PowerSeries.monomial(2, 0, order) + root
+    num = PowerSeries.monomial(3, 2, order)
+    return PowerSeries.monomial(4, 1, order) - num.divide(den)
 
 
 def cfrac_expand(s: PowerSeries, depth: int) -> CFraction:
@@ -215,11 +204,7 @@ def freeze_tail(cf: CFraction, from_index: int, value) -> CFraction:
     return CFraction(cf.leading, cf.head, kept + frozen, from_index, False)
 
 
-_RAMANUJAN_VALUE = Fraction(3, 4)
-_RAMANUJAN_A1 = Fraction(1, 2)
-
-
-def collapse_to_closed_form(cf: CFraction) -> ClosedFormExpr:
+def collapse_to_closed_form(cf: CFraction) -> str:
     """Collapse the frozen fraction 4h - h^2/(1 - (h/2)/B) with B periodic
     at 3/4 into 4h - 3h^2/(2 + sqrt(1 - 3h)).
 
@@ -229,32 +214,13 @@ def collapse_to_closed_form(cf: CFraction) -> ClosedFormExpr:
     """
     if cf.leading != 4 or cf.head != 1:
         raise NotInRamanujanShape(f"head is ({cf.leading}, {cf.head}), need (4, 1)")
-    if cf.depth < 2 or cf.partials[0] != _RAMANUJAN_A1:
+    if cf.depth < 2 or cf.partials[0] != Fraction(1, 2):
         raise NotInRamanujanShape("first partial numerator must be 1/2")
     if cf.periodic_from != 2:
         raise NotInRamanujanShape("tail must be frozen from index 2")
-    if any(a != _RAMANUJAN_VALUE for a in cf.partials[1:]):
+    if any(a != Fraction(3, 4) for a in cf.partials[1:]):
         raise NotInRamanujanShape("frozen value must be 3/4")
-    expr = ClosedFormExpr()
-    if cfrac_to_series(cf, 12) != expr.to_series(12):
+    if cfrac_to_series(cf, 12) != ramanujan_series(12):
         raise CFracError("frozen fraction and closed form disagree; collapse is invalid")
-    return expr
+    return CLOSED_FORM
 
-
-def convergent_agreement_order(cf_a: CFraction, cf_b: CFraction) -> int:
-    """Number of leading convergents on which two fractions coincide.
-
-    Convergent 0 is the head alone (leading*h - head*h^2); convergent k
-    additionally uses partials a_1..a_k.  Two fractions share convergent k
-    exactly when their first k partials agree, so the count returned is
-    1 + (length of the common partial prefix).  Identical fractions of
-    depth d therefore agree on d + 1 convergents.
-    """
-    if cf_a.leading != cf_b.leading or cf_a.head != cf_b.head:
-        raise HeadMismatch("fractions have different leading/head structure")
-    prefix = 0
-    for x, y in zip(cf_a.partials, cf_b.partials):
-        if x != y:
-            break
-        prefix += 1
-    return 1 + prefix

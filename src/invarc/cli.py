@@ -11,9 +11,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 verification or domain failure or
 an --out file that cannot be written.  Output uses LF line endings and is
-byte-identical across runs for a given invocation; --out writes atomically
-(temp file in the target directory, then rename) with the mode a plain
-write would give.
+byte-identical across runs for a given invocation; --out follows symlinks,
+writes a regular file atomically (temp file in the target directory, then
+rename) with the mode a plain write would give, and writes straight to a
+FIFO or a device.
 """
 
 from __future__ import annotations
@@ -114,8 +115,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write_atomically(text: str, out: str) -> None:
-    target = os.path.abspath(out)
+def _write_out(text: str, out: str) -> None:
+    target = os.path.realpath(out)
+    if os.path.exists(target) and not os.path.isfile(target):
+        # a FIFO or a device is written to, not replaced (a directory fails)
+        with open(target, "w", newline="\n") as handle:
+            handle.write(text)
+        return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".invarc-")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
@@ -196,7 +202,7 @@ def _cmd_cfrac(args) -> tuple[str, int]:
         except NotInRamanujanShape as exc:
             lines.append(f"closed form: none ({exc})")
         else:
-            lines.append(f"closed form: {closed.canonical_string()}")
+            lines.append(f"closed form: {closed}")
     return "\n".join(lines) + "\n", 0
 
 
@@ -279,7 +285,7 @@ def run(argv=None) -> int:
         sys.stdout.write(text)
         return code
     try:
-        _write_atomically(text, out)
+        _write_out(text, out)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
         return 2

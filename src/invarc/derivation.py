@@ -14,7 +14,7 @@ import threading
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .cfrac import CFraction, ClosedFormExpr, cfrac_expand
+from .cfrac import CFraction, cfrac_expand, ramanujan_series
 from .series import PowerSeries
 
 # Grown only under the lock and only by appending in index order, so every
@@ -53,18 +53,6 @@ def h_series(order: int) -> PowerSeries:
 def true_inverse_series(order: int) -> PowerSeries:
     """lambda^2 as a series in h: the compositional inverse of the h-series."""
     return h_series(order).revert()
-
-
-def ramanujan_series(order: int) -> PowerSeries:
-    """Series expansion of the closed form 4h - 3h^2/(2 + sqrt(1 - 3h))."""
-    return ClosedFormExpr().to_series(order)
-
-
-def difference_series(order: int) -> PowerSeries:
-    """True inverse minus closed-form expansion; starts at -h^6/32."""
-    if order < 6:
-        raise ValueError("order must be at least 6 to expose the leading error term")
-    return true_inverse_series(order) - ramanujan_series(order)
 
 
 class DerivationReport(NamedTuple):

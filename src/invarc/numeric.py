@@ -274,16 +274,21 @@ def _circle_bound(axis_sum: float) -> str:
     """pi*sum as the circle-bound refusal prints it.
 
     Where pi*sum is subnormal its float keeps only a few bits and can print
-    as the very perimeter it refuses; there the unit-scale bound is rescaled
-    exactly (p/2^k is p*5^k/10^k) and shown to 17 significant digits.
+    as the very perimeter it refuses, and where it overflows it prints as
+    inf; there the unit-scale bound is rescaled exactly (p/2^k is
+    p*5^k/10^k, p*2^k an integer) and shown to 17 significant digits.
     """
     bound = math.pi * axis_sum
-    if bound >= sys.float_info.min:
+    if sys.float_info.min <= bound < math.inf:
         return f"{bound}"
     mantissa, exponent = math.frexp(axis_sum)
     numerator, denominator = (math.pi * mantissa).as_integer_ratio()
     shift = denominator.bit_length() - 1 - exponent
-    return f"{Decimal(f'{numerator * 5**shift}e-{shift}'):.17g}"
+    if shift < 0:
+        exact = Decimal(numerator << -shift)
+    else:
+        exact = Decimal(f"{numerator * 5**shift}e-{shift}")
+    return f"{exact:.17g}"
 
 
 def invert_from_measurements(perimeter: float, axis_sum: float) -> Ellipse:

@@ -84,11 +84,6 @@ class PowerSeries:
         return cls((Fraction(1),) + (Fraction(0),) * order)
 
     @classmethod
-    def identity(cls, order: int) -> "PowerSeries":
-        """The series x, known through the given order."""
-        return cls.monomial(1, 1, order)
-
-    @classmethod
     def monomial(cls, coeff: Coefficient, power: int, order: int) -> "PowerSeries":
         if power < 0 or power > order:
             raise ValueError("monomial power must lie within the order")
@@ -123,9 +118,6 @@ class PowerSeries:
         if power < 0 or power > self.order:
             raise IndexError(f"coefficient {power} is beyond certified order {self.order}")
         return self._coeffs[power]
-
-    def constant(self) -> Fraction:
-        return self._coeffs[0]
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self._coeffs)
@@ -298,21 +290,3 @@ class PowerSeries:
     def __repr__(self) -> str:
         return f"PowerSeries({list(self.to_strings())!r})"
 
-    def __str__(self) -> str:
-        terms = []
-        for k, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                mag = c if c > 0 else -c
-                body = f"x^{k}" if k > 1 else "x"
-                piece = body if mag == 1 else f"{mag}*{body}"
-                terms.append(piece if not terms and c > 0 else ("+ " if c > 0 else "- ") + piece)
-        if not terms:
-            return f"0 + O(x^{self.order + 1})"
-        head = terms[0]
-        if head.startswith("- "):
-            head = "-" + head[2:]
-        return " ".join([head] + terms[1:]) + f" + O(x^{self.order + 1})"

@@ -5,6 +5,8 @@ import io
 import math
 import os
 import pathlib
+import shlex
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,35 @@ def test_out_unwritable_target_is_one_error_line(tmp_path, capsys, name):
     # no temp file left behind, in the target's directory or next to it
     assert [p.name for p in tmp_path.iterdir()] == ["a_directory"]
     assert list((tmp_path / "a_directory").iterdir()) == []
+
+
+def test_out_writes_through_a_symlink(tmp_path, capsys):
+    target = tmp_path / "table.tsv"
+    target.write_text("stale\n")
+    link = tmp_path / "link.tsv"
+    link.symlink_to(target)
+    code, _, _ = invoke(capsys, "verify-series", "--format", "tsv", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink()
+    assert target.read_text() == (FIXTURES / "verify_series_order12.tsv").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.tsv", "table.tsv"]
+
+
+def test_out_writes_into_a_fifo(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # a non-blocking reader lets the writer open the FIFO without a second
+    # thread; the output is far smaller than the pipe buffer
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, _, _ = invoke(capsys, "cfrac", "--depth", "2", "--out", str(fifo))
+        received = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert code == 0
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert received == invoke(capsys, "cfrac", "--depth", "2")[1]
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 def test_cfrac_default(capsys):
@@ -213,6 +244,10 @@ def test_invert_subnormal_sum(capsys):
         # rescaled exactly, to 17 significant digits
         ("1.5e-323", "5e-324", "1.5521530033659567e-323"),
         ("3e-322", "1e-322", "3.1043060067319133e-322"),
+        # pi*sum overflows and used to print as inf; it is rescaled the
+        # same way, with a negative shift
+        ("1", "1e308", "3.1415926535897932e+308"),
+        ("1e308", "1.7976931348623157e308", "5.6476195458922561e+308"),
         # a normal pi*sum prints as the float, as it always has
         ("6", "2", "6.283185307179586"),
     ],
@@ -229,6 +264,25 @@ def test_invert_requires_arguments(capsys):
     code, _, err = invoke(capsys, "invert", "--perimeter", "5.0")
     assert code == 1
     assert "required" in err
+
+
+def _readme_commands():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("invarc ")]
+
+
+def test_readme_shows_every_subcommand():
+    shown = {shlex.split(line)[1] for line in _readme_commands()}
+    assert shown == {"verify-series", "cfrac", "error-table", "invert"}
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_runs(tmp_path, monkeypatch, capsys, line):
+    monkeypatch.chdir(tmp_path)  # one example writes --out table.tsv
+    code, _, err = invoke(capsys, *shlex.split(line)[1:])
+    assert (code, err) == (0, "")
 
 
 def test_module_entry_point():

@@ -40,7 +40,7 @@ def series_st(min_order=0, max_order=8):
 def test_constructors():
     assert PowerSeries.zero(3).coeffs == (F(0),) * 4
     assert PowerSeries.one(2).coeffs == (F(1), F(0), F(0))
-    assert PowerSeries.identity(2).coeffs == (F(0), F(1), F(0))
+    assert PowerSeries.monomial(1, 1, 2).coeffs == (F(0), F(1), F(0))
     m = PowerSeries.monomial(F(3, 4), 2, 5)
     assert m[2] == F(3, 4) and m.order == 5 and m[5] == 0
 
@@ -124,7 +124,7 @@ def test_division_strips_shared_valuation():
 
 
 def test_division_errors():
-    x = PowerSeries.identity(4)
+    x = PowerSeries.monomial(1, 1, 4)
     with pytest.raises(DivisionByZeroSeries):
         x / PowerSeries.zero(4)
     with pytest.raises(ZeroConstantTerm):
@@ -180,10 +180,6 @@ def test_agreement_certifies_shared_prefix_only():
     assert a.agreement(c) == (False, 1)
 
 
-def test_str_shows_truncation_tail():
-    assert "O(x^3)" in str(series(1, 2, 0))
-
-
 # properties
 
 
@@ -202,7 +198,7 @@ def test_multiplication_distributes(a, b, c):
 
 @given(series_st(min_order=1))
 def test_division_round_trip(s):
-    if s.constant() == 0:
+    if s[0] == 0:
         s = s + PowerSeries.one(s.order)
     q = PowerSeries.one(s.order) / s
     ok, through = (q * s).agreement(PowerSeries.one(s.order))
@@ -217,14 +213,14 @@ def test_reversion_round_trip(rest, linear):
     s = PowerSeries([F(0), linear] + rest)
     g = s.revert()
     composed = s.compose(g)
-    ok, through = composed.agreement(PowerSeries.identity(s.order))
+    ok, through = composed.agreement(PowerSeries.monomial(1, 1, s.order))
     assert ok and through == s.order
 
 
 @given(series_st(min_order=2))
 @settings(max_examples=60)
 def test_sqrt_squares_back(s):
-    normalized = s - PowerSeries.monomial(s.constant() - 1, 0, s.order)
+    normalized = s - PowerSeries.monomial(s[0] - 1, 0, s.order)
     r = normalized.sqrt()
     ok, through = (r * r).agreement(normalized)
     assert ok and through == s.order
