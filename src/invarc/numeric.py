@@ -8,9 +8,12 @@ how the closed form tracks the true inverse.
 The sweep needs care: near lambda = 0 the error true - approx shrinks like
 h^6/32, which at lambda = 0.05 is about 2e-21 while one ulp of lambda^2 is
 already 2e-19.  Float64 cannot see the signal there, so rows with lambda
-at or below :data:`EXACT_SWEEP_CUTOFF` are evaluated in exact rational
-arithmetic (adaptively truncated perimeter series for h, an integer-sqrt
-lower bound for sqrt(1 - 3h)) and floated only for output.  Larger lambda
+at or below :data:`EXACT_SWEEP_CUTOFF` are evaluated exactly in plain
+integers and floated only for output.  A float lambda is an integer over a
+power of two, and so is every perimeter-series coefficient, so h is one
+integer over one power of two (adaptively truncated series) and the
+closed form, its error and the normalized error are unreduced integer
+pairs (with an integer-sqrt lower bound for sqrt(1 - 3h)).  Larger lambda
 uses the plain float engines, whose error is then far below the signal.
 """
 
@@ -19,7 +22,6 @@ from __future__ import annotations
 import math
 import sys
 from decimal import Decimal
-from fractions import Fraction
 from typing import NamedTuple
 
 from .derivation import ivory_coefficient
@@ -109,19 +111,6 @@ def lambda_of(e: Ellipse) -> float:
     return (e.a - e.b) / (e.a + e.b)
 
 
-def _ivory_terms(x, cap: int):
-    """The perimeter-series terms binom(1/2,n)^2 x^n for n = 1 .. cap.
-
-    Each term has the number type of x: a Fraction coefficient times a
-    float power evaluates as float(coefficient) * power.  The caller turns
-    running out of terms into its own NoConvergence.
-    """
-    xpow = x
-    for n in range(1, cap + 1):
-        yield ivory_coefficient(n) * xpow
-        xpow *= x
-
-
 def perimeter_series(e: Ellipse, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
     """Perimeter by direct summation of pi*(a+b)*sum binom(1/2,n)^2 lambda^(2n).
 
@@ -130,11 +119,15 @@ def perimeter_series(e: Ellipse, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float
     exact rounding (math.fsum) so the engines can be compared tightly.
     """
     lam = lambda_of(e)
+    x = lam * lam
     terms = [1.0]
-    for term in _ivory_terms(lam * lam, SERIES_MAX_TERMS):
+    xpow = x
+    for n in range(1, SERIES_MAX_TERMS + 1):
+        term = float(ivory_coefficient(n)) * xpow
         if term < cfg.abs_tol:
             return math.pi * (e.a + e.b) * math.fsum(terms)
         terms.append(term)
+        xpow *= x
     raise NoConvergence(f"series did not reach tol {cfg.abs_tol} in {SERIES_MAX_TERMS} terms")
 
 
@@ -181,41 +174,63 @@ def ramanujan_lambda_sq(h: float) -> float:
     return 4.0 * h - 3.0 * h * h / (2.0 + math.sqrt(1.0 - 3.0 * h))
 
 
-def _exact_sqrt_floor(value: Fraction, bits: int) -> Fraction:
-    """Lower bound for sqrt(value) with error below 2^-bits."""
-    p, q = value.numerator, value.denominator
-    return Fraction(math.isqrt((p * q) << (2 * bits)), q << bits)
-
-
 def _exact_row(lam: float) -> ErrorRow:
-    """One sweep row in exact rational arithmetic.
+    """One sweep row in exact integer arithmetic.
 
-    h is the perimeter-series excess summed at the exact rational lambda
-    until the dropped tail is below (lambda^2/4)^6 / 1e8, i.e. far below
-    the h^6/32 signal; sqrt(1 - 3h) is bounded from below by a scaled
-    integer square root tight enough that the diff and normalized columns
-    keep better than 1e-5 relative accuracy at every lambda.
+    With lambda = m / 2^e, x = lambda^2 is X / 2^s for X = m^2 and s = 2e.
+    Each perimeter-series coefficient is an odd integer over a power of
+    two, so each term and each partial sum of h is too: h is kept as
+    H / 2^K.  Summation stops once the dropped tail is below
+    (lambda^2/4)^6 / 1e8, i.e. far below the h^6/32 signal; sqrt(1 - 3h)
+    is bounded from below by a scaled integer square root tight enough
+    that the diff and normalized columns keep better than 1e-5 relative
+    accuracy at every lambda.  The closed form, diff and normalized are
+    unreduced integer pairs, and each column is one correctly rounded
+    int / int division, the same rounding float(Fraction) performs.
     """
-    lam_exact = Fraction(lam)
-    x = lam_exact * lam_exact
-    target = (x / 4) ** 6 / 10**8
-    h = Fraction(0)
-    for n, term in enumerate(_ivory_terms(x, SERIES_MAX_TERMS), start=1):
-        if n > 1 and 2 * term <= target:
+    m, d = lam.as_integer_ratio()
+    s = 2 * (d.bit_length() - 1)
+    X = m * m
+    # the stop rule 2*term <= (x/4)^6 / 1e8 for term = t / 2^k, cross-multiplied:
+    # 2e8 * t * 2^(6s + 12) <= X^6 * 2^k
+    X6 = X**6
+    target_shift = 6 * s + 12
+    H = K = 0
+    xpow = 1
+    for n in range(1, SERIES_MAX_TERMS + 1):
+        coefficient = ivory_coefficient(n)
+        xpow *= X
+        t = coefficient.numerator * xpow
+        k = coefficient.denominator.bit_length() - 1 + n * s
+        if n > 1 and (2 * 10**8 * t) << target_shift <= X6 << k:
             # terms fall by more than a factor x, so the dropped tail is
             # below term/(1 - x), at most 2*term for x <= 0.1225 = 0.35^2
             break
-        h += term
+        # k grows with n, so the new term only shifts the sum up
+        H = (H << (k - K)) + t
+        K = k
     else:
         raise NoConvergence("exact series summation exceeded the iteration cap")
-    radicand = 1 - 3 * h
-    lead_gap = h.denominator.bit_length() - h.numerator.bit_length()
+    # every term is odd (m and the coefficient numerators are) and every
+    # earlier one was shifted left, so H is odd: h = H / 2^K and the radicand
+    # 1 - 3h = (2^K - 3H) / 2^K are already in lowest terms, the numerators
+    # and denominators that lead_gap and the floored root are defined on
+    lead_gap = K + 1 - H.bit_length()
     bits = 4 * max(1, lead_gap + 1) + 48
-    root = _exact_sqrt_floor(radicand, bits)
-    approx = 4 * h - 3 * h * h / (2 + root)
-    diff = x - approx
-    normalized = 32 * diff / h**6
-    return ErrorRow(lam, float(h), float(x), float(approx), float(diff), float(normalized))
+    # sqrt(1 - 3h) >= R / 2^J, floored with error below 2^-bits
+    J = K + bits
+    R = math.isqrt(((1 << K) - 3 * H) << (K + 2 * bits))
+    D = (2 << J) + R  # 2 + root = D / 2^J
+    approx = H * ((D << (K + 2)) - (3 * H << J))  # over D * 2^(2K)
+    diff = (X * D << 2 * K) - (approx << s)  # over D * 2^(2K + s)
+    return ErrorRow(
+        lam,
+        H / (1 << K),
+        X / (1 << s),
+        approx / (D << 2 * K),
+        diff / (D << (2 * K + s)),
+        (diff << (4 * K + 5 - s)) / (D * H**6),
+    )
 
 
 def _float_row(lam: float, cfg: PrecisionConfig) -> ErrorRow:

@@ -175,6 +175,24 @@ def test_error_table_default_grid(capsys):
     assert first[0] == "0" and first[5] == "-1"
 
 
+# every row on the exact path: an ordinary grid, and one where lambda^2
+# underflows, so h, lambda^2, approx and diff print as 0 or -0 while
+# normalized, a ratio of integers of thousands of bits, prints as -1
+@pytest.mark.parametrize(
+    "fixture, lo, hi, steps",
+    [
+        ("error_table_exact.tsv", "0", "0.35", "350"),
+        ("error_table_tiny.tsv", "5e-324", "1e-300", "20"),
+    ],
+)
+def test_error_table_golden(capsys, fixture, lo, hi, steps):
+    code, out, err = invoke(
+        capsys, "error-table", "--lambda-min", lo, "--lambda-max", hi, "--steps", steps
+    )
+    assert (code, err) == (0, "")
+    assert out.encode() == (FIXTURES / fixture).read_bytes()
+
+
 def test_error_table_is_deterministic(capsys):
     code1, out1, _ = invoke(capsys, "error-table", "--steps", "8")
     code2, out2, _ = invoke(capsys, "error-table", "--steps", "8")

@@ -2,13 +2,16 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from invarc import numeric
+from invarc.derivation import ivory_coefficient
 from invarc.numeric import (
     ABS_TOL_CEILING,
     AGM_MAX_ITER,
@@ -321,3 +324,63 @@ def test_abs_tol_ceiling():
     for tol in (1e-7, 1e-3, 1.0, 1e300):
         with pytest.raises(DomainError, match="abs_tol must be at most 1e-08"):
             PrecisionConfig(abs_tol=tol)
+
+
+def _oracle_exact_sqrt_floor(value: Fraction, bits: int) -> Fraction:
+    """Lower bound for sqrt(value) with error below 2^-bits."""
+    p, q = value.numerator, value.denominator
+    return Fraction(math.isqrt((p * q) << (2 * bits)), q << bits)
+
+
+def _oracle_exact_row(lam: float) -> ErrorRow:
+    """The exact sweep row as it was first written, in Fraction arithmetic.
+
+    The package's integer row must return the same ErrorRow, float for
+    float, and raise the same NoConvergence at the term cap.
+    """
+    lam_exact = Fraction(lam)
+    x = lam_exact * lam_exact
+    target = (x / 4) ** 6 / 10**8
+    h = Fraction(0)
+    xpow = x
+    for n in range(1, numeric.SERIES_MAX_TERMS + 1):
+        term = ivory_coefficient(n) * xpow
+        xpow *= x
+        if n > 1 and 2 * term <= target:
+            break
+        h += term
+    else:
+        raise NoConvergence("exact series summation exceeded the iteration cap")
+    radicand = 1 - 3 * h
+    lead_gap = h.denominator.bit_length() - h.numerator.bit_length()
+    bits = 4 * max(1, lead_gap + 1) + 48
+    root = _oracle_exact_sqrt_floor(radicand, bits)
+    approx = 4 * h - 3 * h * h / (2 + root)
+    diff = x - approx
+    normalized = 32 * diff / h**6
+    return ErrorRow(lam, float(h), float(x), float(approx), float(diff), float(normalized))
+
+
+@given(st.floats(min_value=0, max_value=EXACT_SWEEP_CUTOFF, exclude_min=True, allow_subnormal=True))
+@example(EXACT_SWEEP_CUTOFF)
+@example(math.nextafter(EXACT_SWEEP_CUTOFF, 0))
+@example(5e-324)
+@example(2.5e-310)
+@example(1e-150)
+@settings(max_examples=150, deadline=None)
+def test_exact_row_matches_the_fraction_oracle(lam):
+    got = error_sweep([lam])[0]
+    want = _oracle_exact_row(lam)
+    assert got == want
+    # == takes -0.0 for 0.0; the printed table does not
+    assert [math.copysign(1, v) for v in got] == [math.copysign(1, v) for v in want]
+
+
+def test_exact_row_term_cap_matches_the_fraction_oracle(monkeypatch):
+    # no lambda on the exact path reaches the cap, so lower it
+    monkeypatch.setattr(numeric, "SERIES_MAX_TERMS", 3)
+    message = "^exact series summation exceeded the iteration cap$"
+    with pytest.raises(NoConvergence, match=message):
+        error_sweep([0.3])
+    with pytest.raises(NoConvergence, match=message):
+        _oracle_exact_row(0.3)

@@ -1,0 +1,48 @@
+"""Every module-level private name in the package is still used.
+
+A helper that loses its last caller in a refactor stays importable and
+passes every test; this guard lists the `_name` functions, classes and
+assignments at the top level of each module under src/invarc and asserts
+that the package refers to each one somewhere besides its definition.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "invarc"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [target.id for target in targets if isinstance(target, ast.Name)]
+    return [name for name in names if _is_private(name)]
+
+
+def _references(tree: ast.Module) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.alias):
+            names.append(node.name)
+    return names
+
+
+def test_every_private_module_name_is_referenced():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    used = {name for tree in trees.values() for name in _references(tree)}
+    defined = [(module, name) for module, tree in trees.items() for name in _definitions(tree)]
+    assert defined, "no private names found: the package path is wrong"
+    unused = [f"{module}: {name}" for module, name in defined if name not in used]
+    assert unused == []
