@@ -172,9 +172,6 @@ class PowerSeries:
         n = min(self.order, other.order)
         return PowerSeries(a - b for a, b in zip(self._coeffs[: n + 1], other._coeffs[: n + 1]))
 
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries(-c for c in self._coeffs)
-
     def scale(self, factor: Coefficient) -> "PowerSeries":
         f = _frac(factor)
         return PowerSeries(f * c for c in self._coeffs)
@@ -222,7 +219,7 @@ class PowerSeries:
                 raise ZeroConstantTerm(
                     f"denominator valuation {v} exceeds numerator valuation {nv}"
                 )
-            num_c = num_c[v:] if len(num_c) > v else (Fraction(0),)
+            num_c = num_c[v:]
             den_c = den_c[v:]
         n = min(self.order, den.order) - v
         if n < 0:
@@ -230,9 +227,9 @@ class PowerSeries:
         lead = den_c[0]
         out = [Fraction(0)] * (n + 1)
         for k in range(n + 1):
-            acc = num_c[k] if k < len(num_c) else Fraction(0)
+            acc = num_c[k]
             for i in range(k):
-                if out[i] != 0 and k - i < len(den_c):
+                if out[i] != 0:
                     acc -= out[i] * den_c[k - i]
             out[k] = acc / lead
         return PowerSeries(out)
@@ -259,7 +256,7 @@ class PowerSeries:
         n = min(self.order, inner.order)
         inner_t = inner.truncate(n)
         result = PowerSeries.zero(n)
-        for k in range(min(self.order, n), -1, -1):
+        for k in range(n, -1, -1):
             result = result * inner_t
             if self._coeffs[k] != 0:
                 result = result + PowerSeries.monomial(self._coeffs[k], 0, n)

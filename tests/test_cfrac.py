@@ -222,12 +222,16 @@ def test_collapse_expansion_matches_frozen_fraction():
 
 def test_collapse_rejects_wrong_shapes():
     cf = cfrac_expand(true_inverse_series(8), 6)
-    with pytest.raises(NotInRamanujanShape):
+    with pytest.raises(NotInRamanujanShape, match="tail must be frozen from index 2"):
         collapse_to_closed_form(cf)  # not periodic at all
-    with pytest.raises(NotInRamanujanShape):
+    with pytest.raises(NotInRamanujanShape, match="frozen value must be 3/4"):
         collapse_to_closed_form(freeze_tail(cf, 2, F(2, 3)))  # wrong tail value
-    with pytest.raises(NotInRamanujanShape):
+    with pytest.raises(NotInRamanujanShape, match="tail must be frozen from index 2"):
         collapse_to_closed_form(freeze_tail(cf, 3, F(3, 4)))  # freeze too late
+    with pytest.raises(NotInRamanujanShape, match=r"head is \(3, 1\), need \(4, 1\)"):
+        collapse_to_closed_form(CFraction(F(3), F(1), (F(1, 2), F(3, 4)), 2))
+    with pytest.raises(NotInRamanujanShape, match="first partial numerator must be 1/2"):
+        collapse_to_closed_form(freeze_tail(cf, 1, F(3, 4)))  # frozen from a_1
 
 
 def test_agreement_order_true_vs_frozen():

@@ -7,12 +7,14 @@ import os
 import pathlib
 import shlex
 import stat
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invarc.cli import run
+from invarc.reference import REFERENCE_SERIES
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -60,6 +62,17 @@ def test_verify_series_tsv_golden(capsys):
     assert code == 0
     expected = (FIXTURES / "verify_series_order12.tsv").read_text()
     assert out == expected
+
+
+def test_verify_series_reports_a_reference_mismatch(monkeypatch, capsys):
+    monkeypatch.setitem(REFERENCE_SERIES["true"], 6, Fraction(-1))
+    code, out, _ = invoke(capsys, "verify-series", "--order", "8")
+    assert code == 2
+    assert "MISMATCH true [6]: computed -273/128, reference -1" in out
+    assert "reference check: 1 of 50 mismatch" in out
+    code, out, _ = invoke(capsys, "verify-series", "--order", "8", "--format", "tsv")
+    assert code == 2
+    assert "true\t6\t-273/128\tmismatch(expected -1)" in out
 
 
 def test_verify_series_out_file(tmp_path, capsys):

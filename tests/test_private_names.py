@@ -1,9 +1,11 @@
-"""Every module-level private name in the package is still used.
+"""Every module-level private name and every import in the package is used.
 
 A helper that loses its last caller in a refactor stays importable and
 passes every test; this guard lists the `_name` functions, classes and
 assignments at the top level of each module under src/invarc and asserts
 that the package refers to each one somewhere besides its definition.
+Likewise each name a module imports must be read in that module, so
+neither a dead import nor a re-export layer can come back.
 """
 
 import ast
@@ -45,4 +47,27 @@ def test_every_private_module_name_is_referenced():
     defined = [(module, name) for module, tree in trees.items() for name in _definitions(tree)]
     assert defined, "no private names found: the package path is wrong"
     unused = [f"{module}: {name}" for module, name in defined if name not in used]
+    assert unused == []
+
+
+def _imports(tree: ast.Module) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+    return names
+
+
+def test_every_import_is_used_in_its_module():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [f"{path.name}: {name}" for name in _imports(tree) if name not in loaded]
     assert unused == []

@@ -129,6 +129,8 @@ def test_division_errors():
         x / PowerSeries.zero(4)
     with pytest.raises(ZeroConstantTerm):
         PowerSeries.one(4) / x  # numerator valuation too small
+    with pytest.raises(SeriesError, match="certifies no coefficients"):
+        PowerSeries.zero(1).divide(PowerSeries.monomial(1, 2, 3))
 
 
 def test_sqrt_perfect_square():
