@@ -211,14 +211,20 @@ def _band_violations(rows) -> list[str]:
     # 0.15 out to lambda = 0.2; the lambda = 0 limit row is exactly -1.
     messages = []
     for row in rows:
+        if not 0.0 < row.lam <= 0.2:  # outside both bands
+            continue
         for bound, tol in ((0.05, 0.02), (0.2, 0.15)):
-            if 0.0 < row.lam <= bound and abs(row.normalized + 1.0) > tol:
+            if row.lam <= bound and abs(row.normalized + 1.0) > tol:
                 messages.append(
                     f"lambda {row.lam:.17g}: |normalized + 1| = "
                     f"{abs(row.normalized + 1.0):.17g} exceeds {tol} "
                     f"(band up to lambda = {bound})"
                 )
     return messages
+
+
+# one %-format per row prints each column as f"{value:.17g}" would
+_ERROR_ROW_FORMAT = "\t".join(["%.17g"] * len(ERROR_TABLE_COLUMNS))
 
 
 def _cmd_error_table(args) -> tuple[str, int]:
@@ -231,10 +237,8 @@ def _cmd_error_table(args) -> tuple[str, int]:
     span = args.lambda_max - args.lambda_min
     grid = [args.lambda_min + span * i / args.steps for i in range(args.steps + 1)]
     rows = error_sweep(grid, cfg)
-    lines = ["\t".join(ERROR_TABLE_COLUMNS)]
-    for row in rows:
-        lines.append("\t".join(f"{value:.17g}" for value in row))
-    text = "\n".join(lines) + "\n"
+    header = "\t".join(ERROR_TABLE_COLUMNS)
+    text = "\n".join([header, *[_ERROR_ROW_FORMAT % row for row in rows], ""])
     violations = _band_violations(rows)
     for message in violations:
         print(f"band check failed: {message}", file=sys.stderr)

@@ -131,22 +131,16 @@ def perimeter_series(e: Ellipse, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float
     raise NoConvergence(f"series did not reach tol {cfg.abs_tol} in {SERIES_MAX_TERMS} terms")
 
 
-def perimeter_agm(e: Ellipse, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
-    """Perimeter via the AGM form of the complete elliptic integral.
-
-    Iterates x, y -> ((x+y)/2, sqrt(x*y)) from (1, b/a), accumulating the
-    c_n^2 correction sum; the perimeter is 2*pi*a*(1 - sum 2^(n-1) c_n^2)/M.
-    Converges quadratically.  The degenerate b = 0 case is returned exactly
-    as 4a (the AGM collapses to 0 there and the formula degenerates).
-    """
-    if e.b == 0:
-        return 4.0 * e.a
+def _agm_perimeter(a: float, b: float, tol: float) -> float:
+    """perimeter_agm on bare semiaxes and tolerance, for the float sweep row."""
+    if b == 0:
+        return 4.0 * a
     x = 1.0
-    y = e.b / e.a
+    y = b / a
     csum = 0.5 * (1.0 - y * y)
     weight = 1.0
     iterations = 0
-    while abs(x - y) > cfg.abs_tol:
+    while abs(x - y) > tol:
         iterations += 1
         if iterations > AGM_MAX_ITER:
             raise NoConvergence(f"AGM did not converge in {AGM_MAX_ITER} iterations")
@@ -155,7 +149,18 @@ def perimeter_agm(e: Ellipse, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
         csum += weight * c * c
         weight *= 2.0
     m = 0.5 * (x + y)
-    return 2.0 * math.pi * e.a * (1.0 - csum) / m
+    return 2.0 * math.pi * a * (1.0 - csum) / m
+
+
+def perimeter_agm(e: Ellipse, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
+    """Perimeter via the AGM form of the complete elliptic integral.
+
+    Iterates x, y -> ((x+y)/2, sqrt(x*y)) from (1, b/a), accumulating the
+    c_n^2 correction sum; the perimeter is 2*pi*a*(1 - sum 2^(n-1) c_n^2)/M.
+    Converges quadratically.  The degenerate b = 0 case is returned exactly
+    as 4a (the AGM collapses to 0 there and the formula degenerates).
+    """
+    return _agm_perimeter(e.a, e.b, cfg.abs_tol)
 
 
 def h_of(e: Ellipse, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
@@ -169,7 +174,7 @@ def ramanujan_lambda_sq(h: float) -> float:
     Accepts the full mathematical domain 0 <= h <= 1/3 even though physical
     ellipses only reach h = 4/pi - 1.
     """
-    if h < 0.0 or h > 1.0 / 3.0:
+    if not 0.0 <= h <= 1.0 / 3.0:
         raise DomainError(f"h = {h} outside [0, 1/3]")
     return 4.0 * h - 3.0 * h * h / (2.0 + math.sqrt(1.0 - 3.0 * h))
 
@@ -233,8 +238,12 @@ def _exact_row(lam: float) -> ErrorRow:
     )
 
 
-def _float_row(lam: float, cfg: PrecisionConfig) -> ErrorRow:
-    h = h_of(Ellipse(1.0 + lam, 1.0 - lam), cfg)
+def _float_row(lam: float, tol: float) -> ErrorRow:
+    # h_of on the ellipse (1 + lam, 1 - lam), float for float, without
+    # building an Ellipse: lam in (0, 1) always makes a valid one
+    a = 1.0 + lam
+    b = 1.0 - lam
+    h = _agm_perimeter(a, b, tol) / (math.pi * (a + b)) - 1.0
     true = lam * lam
     approx = ramanujan_lambda_sq(h)
     diff = true - approx
@@ -258,7 +267,7 @@ def error_sweep(lambda_grid, cfg: PrecisionConfig = DEFAULT_CONFIG) -> list[Erro
         elif lam <= EXACT_SWEEP_CUTOFF:
             rows.append(_exact_row(lam))
         else:
-            rows.append(_float_row(lam, cfg))
+            rows.append(_float_row(lam, cfg.abs_tol))
     return rows
 
 
@@ -280,7 +289,12 @@ def to_unit_sum(perimeter: float, axis_sum: float) -> tuple[float, float]:
 
 
 def measured_excess(perimeter: float, axis_sum: float) -> float:
-    """h = L/(pi*s) - 1 for a perimeter L and axis sum s, floored at 0."""
+    """h = L/(pi*s) - 1 for a finite perimeter L and a finite positive axis
+    sum s, floored at 0."""
+    if not (math.isfinite(perimeter) and math.isfinite(axis_sum)):
+        raise DomainError(f"perimeter and axis sum must be finite, got {perimeter} and {axis_sum}")
+    if not (axis_sum > 0):
+        raise DomainError(f"axis sum must be positive, got {axis_sum}")
     perimeter, axis_sum = to_unit_sum(perimeter, axis_sum)
     return max(0.0, perimeter / (math.pi * axis_sum) - 1.0)
 
@@ -314,10 +328,7 @@ def invert_from_measurements(perimeter: float, axis_sum: float) -> Ellipse:
     extreme degenerate end the closed form overshoots lambda^2 = 1 by about
     5.8e-4, so lambda is clamped to 1 there to keep b >= 0.
     """
-    if not (math.isfinite(perimeter) and math.isfinite(axis_sum)):
-        raise DomainError(f"perimeter and axis sum must be finite, got {perimeter} and {axis_sum}")
-    if not (axis_sum > 0):
-        raise DomainError(f"axis sum must be positive, got {axis_sum}")
+    h = measured_excess(perimeter, axis_sum)
     # 4*s never rounds (an overflow to inf still compares right); pi*s is
     # compared at unit scale, where it cannot be subnormal
     if perimeter > 4.0 * axis_sum:
@@ -329,6 +340,5 @@ def invert_from_measurements(perimeter: float, axis_sum: float) -> Ellipse:
         raise OutOfRange(
             f"perimeter {perimeter} below the circle bound pi*sum = {_circle_bound(axis_sum)}"
         )
-    h = measured_excess(perimeter, axis_sum)
     lam = min(1.0, math.sqrt(ramanujan_lambda_sq(h)))
     return Ellipse(axis_sum * (1.0 + lam) / 2.0, axis_sum * (1.0 - lam) / 2.0)

@@ -188,14 +188,16 @@ def test_error_table_default_grid(capsys):
     assert first[0] == "0" and first[5] == "-1"
 
 
-# every row on the exact path: an ordinary grid, and one where lambda^2
-# underflows, so h, lambda^2, approx and diff print as 0 or -0 while
-# normalized, a ratio of integers of thousands of bits, prints as -1
+# the first two grids keep every row on the exact path: an ordinary one, and
+# one where lambda^2 underflows, so h, lambda^2, approx and diff print as 0
+# or -0 while normalized, a ratio of integers of thousands of bits, prints as
+# -1; the third has one exact row at the cutoff and 320 float (AGM) rows
 @pytest.mark.parametrize(
     "fixture, lo, hi, steps",
     [
         ("error_table_exact.tsv", "0", "0.35", "350"),
         ("error_table_tiny.tsv", "5e-324", "1e-300", "20"),
+        ("error_table_float.tsv", "0.35", "0.99", "320"),
     ],
 )
 def test_error_table_golden(capsys, fixture, lo, hi, steps):

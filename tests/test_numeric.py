@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from invarc import numeric
+from invarc import cli, numeric
 from invarc.derivation import ivory_coefficient
 from invarc.numeric import (
     ABS_TOL_CEILING,
@@ -20,6 +20,7 @@ from invarc.numeric import (
     Ellipse,
     ErrorRow,
     NoConvergence,
+    NumericError,
     OutOfRange,
     PrecisionConfig,
     SERIES_MAX_TERMS,
@@ -262,6 +263,14 @@ def test_non_finite_inputs_are_rejected():
     for perimeter, axis_sum in [(math.nan, 3.0), (7.0, math.nan), (math.inf, math.inf)]:
         with pytest.raises(DomainError):
             invert_from_measurements(perimeter, axis_sum)
+    with pytest.raises(DomainError, match=r"^h = nan outside \[0, 1/3\]$"):
+        ramanujan_lambda_sq(math.nan)
+    finite = "^perimeter and axis sum must be finite, got "
+    for perimeter, axis_sum in [(math.nan, 1.0), (1.0, math.nan), (1.0, math.inf)]:
+        with pytest.raises(DomainError, match=f"{finite}{perimeter} and {axis_sum}$"):
+            measured_excess(perimeter, axis_sum)
+    with pytest.raises(DomainError, match="^axis sum must be positive, got 0.0$"):
+        measured_excess(1.0, 0.0)
 
 
 # both sides of the exact/float hand-over at EXACT_SWEEP_CUTOFF = 0.35,
@@ -384,3 +393,42 @@ def test_exact_row_term_cap_matches_the_fraction_oracle(monkeypatch):
         error_sweep([0.3])
     with pytest.raises(NoConvergence, match=message):
         _oracle_exact_row(0.3)
+
+
+def _oracle_float_row(lam: float, cfg: PrecisionConfig) -> ErrorRow:
+    """The float sweep row as it was first written, through h_of and an
+    Ellipse.  The package's row must return the same ErrorRow, float for
+    float, and raise the same NoConvergence where the AGM hits its cap."""
+    h = h_of(Ellipse(1.0 + lam, 1.0 - lam), cfg)
+    true = lam * lam
+    approx = ramanujan_lambda_sq(h)
+    diff = true - approx
+    return ErrorRow(lam, h, true, approx, diff, 32.0 * diff / h**6)
+
+
+def _row_or_error(compute):
+    try:
+        return compute()
+    except NumericError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.floats(min_value=EXACT_SWEEP_CUTOFF, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=1e-16, max_value=ABS_TOL_CEILING),
+)
+@example(math.nextafter(EXACT_SWEEP_CUTOFF, 1.0), 1e-14)
+@example(0.99, 1e-14)
+@example(math.nextafter(1.0, 0.0), 1e-14)
+@example(0.3501, 1e-16)  # the AGM hits its cap
+@example(0.99, ABS_TOL_CEILING)
+@settings(max_examples=150, deadline=None)
+def test_float_row_matches_the_ellipse_oracle(lam, abs_tol):
+    cfg = PrecisionConfig(abs_tol=abs_tol)
+    got = _row_or_error(lambda: error_sweep([lam], cfg)[0])
+    want = _row_or_error(lambda: _oracle_float_row(lam, cfg))
+    assert got == want
+    if isinstance(got, ErrorRow):
+        assert [math.copysign(1, v) for v in got] == [math.copysign(1, v) for v in want]
+        assert cli._ERROR_ROW_FORMAT % got == "\t".join(f"{v:.17g}" for v in got)
+
