@@ -84,10 +84,6 @@ class TailClosedForm(NamedTuple):
 
     numerator_coeff: Fraction
 
-    def to_series(self, order: int) -> PowerSeries:
-        radicand = PowerSeries.polynomial([1, -4 * self.numerator_coeff], order)
-        return (PowerSeries.one(order) + radicand.sqrt()).scale(Fraction(1, 2))
-
     def radicand_string(self) -> str:
         slope = 4 * self.numerator_coeff
         if slope == 0:
@@ -103,13 +99,24 @@ CLOSED_FORM = "4h - 3h^2/(2 + sqrt(1 - 3h))"
 
 
 def ramanujan_series(order: int) -> PowerSeries:
-    """Series expansion of the closed form 4h - 3h^2/(2 + sqrt(1 - 3h))."""
+    """Series expansion of the closed form 4h - 3h^2/(2 + sqrt(1 - 3h)).
+
+    With s = sqrt(1 - 3h), (2 + s)(2 - s) = 3(1 + h), so the closed form
+    is 4h - h^2 (2 - s)/(1 + h).  The binomial series gives s_0 = 1 and
+    s_k = s_(k-1) * 3(2k - 3)/(2k); dividing t = 2 - s by 1 + h is
+    q_k = t_k - q_(k-1); and q_k is minus the coefficient of h^(k+2).
+    Linear in the order, with no series division or square root.
+    """
     if order < 2:
         raise ValueError("need order >= 2 to expand the closed form")
-    root = PowerSeries.polynomial([1, -3], order).sqrt()
-    den = PowerSeries.monomial(2, 0, order) + root
-    num = PowerSeries.monomial(3, 2, order)
-    return PowerSeries.monomial(4, 1, order) - num.divide(den)
+    s = Fraction(1)
+    q = Fraction(1)  # t_0 = 2 - s_0
+    coeffs = [Fraction(0), Fraction(4), -q]
+    for k in range(1, order - 1):
+        s *= Fraction(3 * (2 * k - 3), 2 * k)
+        q = -s - q
+        coeffs.append(-q)
+    return PowerSeries(coeffs)
 
 
 def cfrac_expand(s: PowerSeries, depth: int) -> CFraction:

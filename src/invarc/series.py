@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Coefficient = Union[Fraction, int, str]
@@ -59,6 +60,46 @@ def _scaled(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
+def _int_product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Coefficients 0..n of the product of two integer series."""
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(n + 1 - i):
+            out[i + j] += ai * b[j]
+    return out
+
+
+def _int_quotient(num: Sequence[int], den: Sequence[int], n: int) -> tuple[list[int], int]:
+    """Fraction-free long division: num/den == q/scale through x^n.
+
+    Needs den[0] != 0.  Every quotient coefficient stays over the one
+    positive integer scale, which is multiplied by |lead|/gcd(t, lead)
+    only at a step whose remainder t the leading coefficient does not
+    divide.
+    """
+    lead = den[0]
+    q: list[int] = []
+    scale = 1
+    for k in range(n + 1):
+        t = scale * num[k] - sum(map(mul, q, den[k:0:-1]))
+        m = abs(lead) // math.gcd(t, lead)
+        if m != 1:
+            scale *= m
+            q = [c * m for c in q]
+            t *= m
+        q.append(t // lead)
+    return q, scale
+
+
+def _reduced(ints: list[int], d: int) -> tuple[list[int], int]:
+    """ints/d with the common factor of the list and d divided out."""
+    g = math.gcd(d, *ints)
+    return [c // g for c in ints], d // g
+
+
 class PowerSeries:
     """Immutable truncated power series over exact rationals."""
 
@@ -89,19 +130,6 @@ class PowerSeries:
             raise ValueError("monomial power must lie within the order")
         c = [Fraction(0)] * (order + 1)
         c[power] = _frac(coeff)
-        return cls(c)
-
-    @classmethod
-    def polynomial(cls, coeffs: Sequence[Coefficient], order: int) -> "PowerSeries":
-        """An exact polynomial, zero-padded up to `order`.
-
-        Padding with true zeros is legitimate here because a polynomial's
-        higher coefficients really are zero; plain arithmetic never pads.
-        """
-        if len(coeffs) > order + 1:
-            raise ValueError("polynomial longer than the requested order")
-        c = [_frac(v) for v in coeffs]
-        c.extend(Fraction(0) for _ in range(order + 1 - len(c)))
         return cls(c)
 
     # -- basic queries ---------------------------------------------------
@@ -172,31 +200,16 @@ class PowerSeries:
         n = min(self.order, other.order)
         return PowerSeries(a - b for a, b in zip(self._coeffs[: n + 1], other._coeffs[: n + 1]))
 
-    def scale(self, factor: Coefficient) -> "PowerSeries":
-        f = _frac(factor)
-        return PowerSeries(f * c for c in self._coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, PowerSeries):
-            # convolve integers over the common denominators; one gcd per
-            # output coefficient instead of one per product
-            n = min(self.order, other.order)
-            a, da = _scaled(self._coeffs[: n + 1])
-            b, db = _scaled(other._coeffs[: n + 1])
-            out = [0] * (n + 1)
-            for i in range(n + 1):
-                ai = a[i]
-                if ai == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    out[i + j] += ai * b[j]
-            d = da * db
-            return PowerSeries(Fraction(c, d) for c in out)
-        if isinstance(other, (Fraction, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
+        # convolve integers over the common denominators; one gcd per
+        # output coefficient instead of one per product
+        n = min(self.order, other.order)
+        a, da = _scaled(self._coeffs[: n + 1])
+        b, db = _scaled(other._coeffs[: n + 1])
+        d = da * db
+        return PowerSeries(Fraction(c, d) for c in _int_product(a, b, n))
 
     # -- division, sqrt, composition, reversion --------------------------
 
@@ -205,7 +218,9 @@ class PowerSeries:
 
         When the denominator has valuation v > 0 the numerator must share
         it; the common factor x^v is cancelled and the certified order
-        shrinks by v.
+        shrinks by v.  Both operands go over their common denominators and
+        the division runs on plain integers (`_int_quotient`), so each
+        output coefficient is reduced once.
         """
         if den.is_zero():
             raise DivisionByZeroSeries("denominator is zero through its whole order")
@@ -224,15 +239,11 @@ class PowerSeries:
         n = min(self.order, den.order) - v
         if n < 0:
             raise SeriesError("division result certifies no coefficients at these orders")
-        lead = den_c[0]
-        out = [Fraction(0)] * (n + 1)
-        for k in range(n + 1):
-            acc = num_c[k]
-            for i in range(k):
-                if out[i] != 0:
-                    acc -= out[i] * den_c[k - i]
-            out[k] = acc / lead
-        return PowerSeries(out)
+        a, da = _scaled(num_c[: n + 1])
+        b, db = _scaled(den_c[: n + 1])
+        q, scale = _int_quotient(a, b, n)
+        d = da * scale
+        return PowerSeries(Fraction(c * db, d) for c in q)
 
     __truediv__ = divide
 
@@ -267,19 +278,24 @@ class PowerSeries:
 
         Needs constant term 0 and nonzero linear term.  Lagrange inversion
         gives [x^k] result = (1/k) [x^(k-1)] w^k with w = x/self, so one
-        division and a running power of w yield every coefficient.
+        division and a running power of w yield every coefficient.  Both
+        run on integer lists over one denominator each; after every
+        product the gcd of the list and its denominator is divided out.
         """
         if self._coeffs[0] != 0:
             raise NotCentered("can only revert a series with zero constant term")
         if self.order < 1 or self._coeffs[1] == 0:
             raise ZeroLinearTerm("reversion needs a nonzero linear coefficient")
         n = self.order
-        w = PowerSeries.one(n - 1).divide(PowerSeries(self._coeffs[1:]))
-        power = PowerSeries.one(n - 1)
+        b, db = _scaled(self._coeffs[1:])
+        q, scale = _int_quotient([1] + [0] * (n - 1), b, n - 1)
+        w, wden = _reduced([c * db for c in q], scale)
+        power, pden = w, wden
         g = [Fraction(0)]
         for k in range(1, n + 1):
-            power = power * w
-            g.append(power[k - 1] / k)
+            g.append(Fraction(power[k - 1], pden * k))
+            if k < n:
+                power, pden = _reduced(_int_product(power, w, n - 1), pden * wden)
         return PowerSeries(g)
 
     # -- display ---------------------------------------------------------

@@ -1,0 +1,97 @@
+"""Series builders the tests share, and the kernels the package replaced.
+
+The builders (`polynomial`, `scale`, `tail_series`) were once methods of
+`PowerSeries` and `TailClosedForm`; no code under src/ needs them any more.
+The oracles are the Fraction algorithms that the integer kernels replaced;
+the kernels must match them, exceptions and messages included.
+"""
+
+from fractions import Fraction
+
+from invarc.series import (
+    DivisionByZeroSeries,
+    NotCentered,
+    PowerSeries,
+    SeriesError,
+    ZeroConstantTerm,
+    ZeroLinearTerm,
+)
+
+
+def polynomial(coeffs, order):
+    """An exact polynomial, zero-padded up to `order`.
+
+    Padding with true zeros is legitimate here because a polynomial's
+    higher coefficients really are zero; plain arithmetic never pads.
+    """
+    if len(coeffs) > order + 1:
+        raise ValueError("polynomial longer than the requested order")
+    return PowerSeries(list(coeffs) + [0] * (order + 1 - len(coeffs)))
+
+
+def scale(s, factor):
+    """Every coefficient of s times one rational factor."""
+    f = Fraction(factor)
+    return PowerSeries(f * c for c in s.coeffs)
+
+
+def tail_series(tail, order):
+    """Expansion of a TailClosedForm B = (1 + sqrt(1 - 4ch))/2."""
+    radicand = polynomial([1, -4 * tail.numerator_coeff], order)
+    return scale(PowerSeries.one(order) + radicand.sqrt(), Fraction(1, 2))
+
+
+# -- the replaced kernels ----------------------------------------------------
+
+
+def divide_by_fractions(num, den):
+    # the former PowerSeries.divide: long division, one Fraction per term
+    if den.is_zero():
+        raise DivisionByZeroSeries("denominator is zero through its whole order")
+    v = den.valuation()
+    num_c = num.coeffs
+    den_c = den.coeffs
+    if v > 0:
+        nv = num.valuation()
+        if nv is not None and nv < v:
+            raise ZeroConstantTerm(f"denominator valuation {v} exceeds numerator valuation {nv}")
+        num_c = num_c[v:]
+        den_c = den_c[v:]
+    n = min(num.order, den.order) - v
+    if n < 0:
+        raise SeriesError("division result certifies no coefficients at these orders")
+    lead = den_c[0]
+    out = [Fraction(0)] * (n + 1)
+    for k in range(n + 1):
+        acc = num_c[k]
+        for i in range(k):
+            if out[i] != 0:
+                acc -= out[i] * den_c[k - i]
+        out[k] = acc / lead
+    return PowerSeries(out)
+
+
+def revert_by_fractions(s):
+    # the former PowerSeries.revert: Lagrange inversion on Fraction series
+    if s.coeffs[0] != 0:
+        raise NotCentered("can only revert a series with zero constant term")
+    if s.order < 1 or s.coeffs[1] == 0:
+        raise ZeroLinearTerm("reversion needs a nonzero linear coefficient")
+    n = s.order
+    w = divide_by_fractions(PowerSeries.one(n - 1), PowerSeries(s.coeffs[1:]))
+    power = PowerSeries.one(n - 1)
+    g = [Fraction(0)]
+    for k in range(1, n + 1):
+        power = power * w
+        g.append(power[k - 1] / k)
+    return PowerSeries(g)
+
+
+def ramanujan_by_sqrt(order):
+    # the former cfrac.ramanujan_series: one sqrt and one series division
+    if order < 2:
+        raise ValueError("need order >= 2 to expand the closed form")
+    root = polynomial([1, -3], order).sqrt()
+    den = PowerSeries.monomial(2, 0, order) + root
+    num = PowerSeries.monomial(3, 2, order)
+    return PowerSeries.monomial(4, 1, order) - divide_by_fractions(num, den)

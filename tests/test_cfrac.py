@@ -24,6 +24,8 @@ from invarc.cfrac import (
 from invarc.derivation import true_inverse_series
 from invarc.series import NotCentered, PowerSeries
 
+from series_helpers import polynomial, ramanujan_by_sqrt, tail_series
+
 
 TRUE_PARTIALS = (F(1, 2), F(3, 4), F(3, 4), F(31, 36), F(911, 1116))
 
@@ -69,7 +71,7 @@ def test_partials_are_depth_independent():
 
 
 def test_expand_terminating_input():
-    s = PowerSeries.polynomial([0, 4, -1], 8)  # 4h - h^2 exactly
+    s = polynomial([0, 4, -1], 8)  # 4h - h^2 exactly
     cf = cfrac_expand(s, 4)
     assert cf.terminated
     assert cf.partials == ()
@@ -78,7 +80,7 @@ def test_expand_terminating_input():
 
 def test_expand_irregular_input():
     # 4h - h^2 + h^4: D_1 = 1/(1 - h^2), so 1 - D_1 has no linear term
-    s = PowerSeries.polynomial([0, 4, -1, 0, 1], 6)
+    s = polynomial([0, 4, -1, 0, 1], 6)
     with pytest.raises(
         IrregularExpansion,
         match="partial numerator 1 vanished but the remainder did not terminate",
@@ -111,14 +113,14 @@ def test_expand_needs_order_depth_plus_two():
 
 def test_expand_rejects_nonzero_constant():
     with pytest.raises(NotCentered):
-        cfrac_expand(PowerSeries.polynomial([1, 4, -1], 6), 2)
+        cfrac_expand(polynomial([1, 4, -1], 6), 2)
 
 
 def test_expand_rejects_degenerate_head():
     with pytest.raises(DegenerateHead):
-        cfrac_expand(PowerSeries.polynomial([0, 0, 1], 6), 2)
+        cfrac_expand(polynomial([0, 0, 1], 6), 2)
     with pytest.raises(DegenerateHead):
-        cfrac_expand(PowerSeries.polynomial([0, 4, 0, 1], 6), 2)
+        cfrac_expand(polynomial([0, 4, 0, 1], 6), 2)
 
 
 def test_to_series_round_trips_the_source():
@@ -195,11 +197,16 @@ def test_tail_closed_form_satisfies_quadratic():
     # B = 1 - ch/B with B(0) = 1 means B^2 - B + ch = 0
     for c in (F(3, 4), F(1, 2), F(2, 7)):
         tail = TailClosedForm(c)
-        b = tail.to_series(10)
+        b = tail_series(tail, 10)
         ch = PowerSeries.monomial(c, 1, 10)
         residue = b * b - b + ch
         assert residue.is_zero()
         assert b[0] == 1
+
+
+def test_closed_form_recurrence_matches_the_sqrt_oracle():
+    for order in (2, 3, 12, 40, 160):
+        assert ramanujan_series(order) == ramanujan_by_sqrt(order)
 
 
 def test_tail_closed_form_string():

@@ -64,6 +64,13 @@ def test_verify_series_tsv_golden(capsys):
     assert out == expected
 
 
+def test_verify_series_order_40_tsv_golden(capsys):
+    # the benchmark's derive argv, byte for byte
+    code, out, err = invoke(capsys, "verify-series", "--order", "40", "--format", "tsv")
+    assert (code, err) == (0, "")
+    assert out.encode() == (FIXTURES / "verify_series_order40.tsv").read_bytes()
+
+
 def test_verify_series_reports_a_reference_mismatch(monkeypatch, capsys):
     monkeypatch.setitem(REFERENCE_SERIES["true"], 6, Fraction(-1))
     code, out, _ = invoke(capsys, "verify-series", "--order", "8")

@@ -17,6 +17,8 @@ from invarc.derivation import (
 from invarc.reference import CFRAC_PARTIALS, REFERENCE_SERIES
 from invarc.series import PowerSeries
 
+from series_helpers import polynomial
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
@@ -75,7 +77,7 @@ def test_closed_form_algebraic_identity():
     order = 12
     approx = ramanujan_series(order)
     four_h = PowerSeries.monomial(4, 1, order)
-    root = PowerSeries.polynomial([1, -3], order).sqrt()
+    root = polynomial([1, -3], order).sqrt()
     two_plus = PowerSeries.one(order) + PowerSeries.one(order) + root
     lhs = (four_h - approx) * two_plus
     rhs = PowerSeries.monomial(3, 2, order)

@@ -104,6 +104,16 @@ def test_agm_iteration_cap():
         perimeter_agm(Ellipse(1.3501, 0.6499), PrecisionConfig(abs_tol=1e-16))
 
 
+def test_agm_cap_allows_exactly_agm_max_iter_iterations(monkeypatch):
+    # the AGM from (1, 1/3) gets |x - y| down to 1e-15 in five steps
+    uncapped = numeric._agm_perimeter(1.5, 0.5, 1e-15)
+    monkeypatch.setattr(numeric, "AGM_MAX_ITER", 5)
+    assert numeric._agm_perimeter(1.5, 0.5, 1e-15) == uncapped
+    monkeypatch.setattr(numeric, "AGM_MAX_ITER", 4)
+    with pytest.raises(NoConvergence, match="^AGM did not converge in 4 iterations$"):
+        numeric._agm_perimeter(1.5, 0.5, 1e-15)
+
+
 def test_precision_config_validation():
     with pytest.raises(DomainError):
         PrecisionConfig(abs_tol=0.0)

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invarc.derivation import h_series, true_inverse_series
@@ -16,6 +16,13 @@ from invarc.series import (
     SeriesError,
     ZeroConstantTerm,
     ZeroLinearTerm,
+)
+
+from series_helpers import (
+    divide_by_fractions,
+    polynomial,
+    revert_by_fractions,
+    scale,
 )
 
 
@@ -52,10 +59,10 @@ def test_empty_rejected():
 
 def test_polynomial_pads_with_certified_zeros():
     # a polynomial is exact, so padding to a higher order is legitimate
-    p = PowerSeries.polynomial([1, 2], 4)
+    p = polynomial([1, 2], 4)
     assert p.coeffs == (F(1), F(2), F(0), F(0), F(0))
     with pytest.raises(ValueError):
-        PowerSeries.polynomial([1, 2, 3], 1)
+        polynomial([1, 2, 3], 1)
 
 
 def test_order_is_len_minus_one():
@@ -101,23 +108,27 @@ def test_product_of_one_plus_and_one_minus():
 
 
 def test_scalar_multiplication():
+    # a series multiplies only series; scaling is a test helper
     s = series(1, 2)
-    assert (s * 3).coeffs == (F(3), F(6))
-    assert (3 * s).coeffs == (F(3), F(6))
-    assert s.scale(F(1, 2)).coeffs == (F(1, 2), F(1))
+    with pytest.raises(TypeError):
+        s * 3
+    with pytest.raises(TypeError):
+        F(1, 2) * s
+    assert scale(s, 3).coeffs == (F(3), F(6))
+    assert scale(s, F(1, 2)).coeffs == (F(1, 2), F(1))
 
 
 def test_geometric_division():
     # 1/(1 - x) = 1 + x + x^2 + ...
     num = PowerSeries.one(5)
-    den = PowerSeries.polynomial([1, -1], 5)
+    den = polynomial([1, -1], 5)
     assert (num / den).coeffs == (F(1),) * 6
 
 
 def test_division_strips_shared_valuation():
     # x^2 / (x + x^2) = x / (1 + x) = x - x^2 + x^3 - ...
     num = PowerSeries.monomial(1, 2, 6)
-    den = PowerSeries.polynomial([0, 1, 1], 6)
+    den = polynomial([0, 1, 1], 6)
     q = num / den
     assert q.order == 5
     assert q.coeffs == (F(0), F(1), F(-1), F(1), F(-1), F(1))
@@ -140,7 +151,7 @@ def test_sqrt_perfect_square():
 
 def test_sqrt_one_minus_3h_matches_binomial():
     # sqrt(1 - 3h) has coefficients binom(1/2, k) (-3)^k
-    s = PowerSeries.polynomial([1, -3], 8).sqrt()
+    s = polynomial([1, -3], 8).sqrt()
     coeff = F(1)
     half = F(1, 2)
     for k in range(1, 9):
@@ -149,13 +160,15 @@ def test_sqrt_one_minus_3h_matches_binomial():
 
 
 def test_sqrt_requires_unit_constant():
-    with pytest.raises(NonUnitConstant):
+    with pytest.raises(NonUnitConstant, match=r"^sqrt needs constant term 1, got 4$"):
         series(4, 1).sqrt()
+    with pytest.raises(NonUnitConstant, match=r"^sqrt needs constant term 1, got -3/2$"):
+        series(F(-3, 2), 1, 5).sqrt()
 
 
 def test_composition():
-    outer = PowerSeries.polynomial([0, 1, 1], 4)  # y + y^2
-    inner = PowerSeries.polynomial([0, 2], 4)  # 2x
+    outer = polynomial([0, 1, 1], 4)  # y + y^2
+    inner = polynomial([0, 2], 4)  # 2x
     assert outer.compose(inner).coeffs == (F(0), F(2), F(4), F(0), F(0))
     with pytest.raises(NonzeroInnerConstant):
         outer.compose(PowerSeries.one(4))
@@ -287,3 +300,42 @@ def test_mul_matches_naive_convolution(a, b):
     product = PowerSeries(a) * PowerSeries(b)
     assert product.coeffs == tuple(expected)
     assert product.order == n
+
+
+def _padded_st(max_zeros, max_size):
+    # a run of leading zeros (valuation > 0), then sparse rationals that may
+    # be zero throughout, negative or far from 1 in the lead
+    return st.tuples(
+        st.integers(min_value=0, max_value=max_zeros),
+        st.lists(sparse_fractions_st, min_size=1, max_size=max_size),
+    ).map(lambda t: PowerSeries([F(0)] * t[0] + t[1]))
+
+
+@given(_padded_st(3, 9), _padded_st(3, 9))
+@example(PowerSeries([1, 2]), PowerSeries.zero(3))  # DivisionByZeroSeries
+@example(PowerSeries.one(4), PowerSeries([0, 1]))  # ZeroConstantTerm
+@example(PowerSeries.zero(1), PowerSeries([0, 0, 1, 0]))  # certifies nothing
+@example(PowerSeries([F(1, 3), F(-2, 7), 5]), PowerSeries([F(-6, 5), F(3, 4), F(1, 9)]))
+@settings(max_examples=300)
+def test_divide_matches_fraction_oracle(num, den):
+    assert _outcome(PowerSeries.divide, num, den) == _outcome(divide_by_fractions, num, den)
+
+
+@given(
+    st.one_of(st.just(F(0)), sparse_fractions_st),
+    st.one_of(nonzero_fractions_st, sparse_fractions_st),
+    st.lists(sparse_fractions_st, max_size=12),
+)
+@settings(max_examples=200)
+def test_revert_matches_fraction_oracle(constant, linear, rest):
+    s = PowerSeries([constant, linear] + rest)
+    assert _outcome(PowerSeries.revert, s) == _outcome(revert_by_fractions, s)
+
+
+def test_true_inverse_80_matches_the_oracle_and_composes_to_x():
+    h = h_series(80)
+    g = true_inverse_series(80)
+    assert g == revert_by_fractions(h)
+    x = PowerSeries.monomial(1, 1, 80)
+    assert h.compose(g) == x
+    assert g.compose(h) == x
