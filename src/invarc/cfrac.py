@@ -20,31 +20,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .series import PowerSeries, NotCentered, _scaled
+from .series import PowerSeries, _scaled
 
 
 class CFracError(ArithmeticError):
-    """Base class for continued-fraction failures."""
-
-
-class InsufficientOrder(CFracError):
-    """The source series is too short for the requested depth."""
-
-
-class InsufficientDepth(CFracError):
-    """The fraction is too shallow to certify the requested order."""
-
-
-class IndexOutOfRange(CFracError):
-    """Freeze index outside 1..depth."""
-
-
-class DegenerateHead(CFracError):
-    """The series lacks the h or h^2 coefficient the normal form needs."""
-
-
-class IrregularExpansion(CFracError):
-    """A partial numerator vanished while the remainder did not terminate."""
+    """Any continued-fraction refusal; the message names which."""
 
 
 class NotInRamanujanShape(CFracError):
@@ -88,8 +68,8 @@ class TailClosedForm(NamedTuple):
         slope = 4 * self.numerator_coeff
         if slope == 0:
             return "1"
-        term = "h" if slope == 1 else f"{slope}h"
-        return f"1 - {term}" if slope > 0 else f"1 + {-slope}h"
+        term = "h" if abs(slope) == 1 else f"{abs(slope)}h"
+        return f"1 - {term}" if slope > 0 else f"1 + {term}"
 
     def __str__(self) -> str:
         return f"(1 + sqrt({self.radicand_string()}))/2"
@@ -137,15 +117,15 @@ def cfrac_expand(s: PowerSeries, depth: int) -> CFraction:
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if s.order < depth + 2:
-        raise InsufficientOrder(
+        raise CFracError(
             f"series order {s.order} cannot support depth {depth}; need {depth + 2}"
         )
     if s[0] != 0:
-        raise NotCentered("series must vanish at 0")
+        raise CFracError("series must vanish at 0")
     c1 = s[1]
     c2 = s[2]
     if c1 == 0 or c2 == 0:
-        raise DegenerateHead("normal form needs nonzero h and h^2 coefficients")
+        raise CFracError("normal form needs nonzero h and h^2 coefficients")
     head = -c2
     # D_1 = head*h^2/(c1*h - s) = -c2/(-c2 - c3*h - ...), over one integer scale
     den, _ = _scaled([-c for c in s.coeffs[2:]])
@@ -159,7 +139,7 @@ def cfrac_expand(s: PowerSeries, depth: int) -> CFraction:
             break
         a = Fraction(rem[1], den[0])
         if a == 0:
-            raise IrregularExpansion(
+            raise CFracError(
                 f"partial numerator {k} vanished but the remainder did not terminate"
             )
         partials.append(a)
@@ -176,7 +156,7 @@ def _materialized_partials(cf: CFraction, need: int) -> list[Fraction]:
     work = list(cf.partials)
     if len(work) < need:
         if cf.periodic_from is None or not work:
-            raise InsufficientDepth(
+            raise CFracError(
                 f"depth {cf.depth} certifies only order {cf.depth + 2}"
             )
         fill = cf.partials[cf.periodic_from - 1]
@@ -205,7 +185,7 @@ def freeze_tail(cf: CFraction, from_index: int, value) -> CFraction:
     """Replace every partial from the 1-based from_index on with one value."""
     value = Fraction(value)
     if from_index < 1 or from_index > cf.depth:
-        raise IndexOutOfRange(f"freeze index {from_index} outside 1..{cf.depth}")
+        raise CFracError(f"freeze index {from_index} outside 1..{cf.depth}")
     kept = cf.partials[: from_index - 1]
     frozen = (value,) * (cf.depth - from_index + 1)
     return CFraction(cf.leading, cf.head, kept + frozen, from_index, False)

@@ -28,19 +28,7 @@ from .derivation import ivory_coefficient
 
 
 class NumericError(ArithmeticError):
-    """Base class for numeric-engine failures."""
-
-
-class NoConvergence(NumericError):
-    """An iteration hit its cap before reaching tolerance."""
-
-
-class DomainError(NumericError):
-    """Input outside the mathematical domain of the operation."""
-
-
-class OutOfRange(NumericError):
-    """Measurement outside the feasible bracket."""
+    """Any numeric-engine refusal; the message names which."""
 
 
 class Ellipse(NamedTuple("Ellipse", [("a", float), ("b", float)])):
@@ -50,9 +38,9 @@ class Ellipse(NamedTuple("Ellipse", [("a", float), ("b", float)])):
 
     def __new__(cls, a: float, b: float):
         if not (0 < a < math.inf):
-            raise DomainError(f"semimajor axis must be positive and finite, got {a}")
+            raise NumericError(f"semimajor axis must be positive and finite, got {a}")
         if not (a >= b >= 0):
-            raise DomainError(f"need a >= b >= 0, got a={a}, b={b}")
+            raise NumericError(f"need a >= b >= 0, got a={a}, b={b}")
         return super().__new__(cls, a, b)
 
 
@@ -76,9 +64,9 @@ class PrecisionConfig(NamedTuple("PrecisionConfig", [("abs_tol", float)])):
 
     def __new__(cls, abs_tol: float = 1e-14):
         if not (0 < abs_tol < math.inf):
-            raise DomainError(f"abs_tol must be positive and finite, got {abs_tol}")
+            raise NumericError(f"abs_tol must be positive and finite, got {abs_tol}")
         if abs_tol > ABS_TOL_CEILING:
-            raise DomainError(f"abs_tol must be at most {ABS_TOL_CEILING:g}, got {abs_tol}")
+            raise NumericError(f"abs_tol must be at most {ABS_TOL_CEILING:g}, got {abs_tol}")
         return super().__new__(cls, abs_tol)
 
 
@@ -128,7 +116,7 @@ def perimeter_series(e: Ellipse, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float
             return math.pi * (e.a + e.b) * math.fsum(terms)
         terms.append(term)
         xpow *= x
-    raise NoConvergence(f"series did not reach tol {cfg.abs_tol} in {SERIES_MAX_TERMS} terms")
+    raise NumericError(f"series did not reach tol {cfg.abs_tol} in {SERIES_MAX_TERMS} terms")
 
 
 def _agm_perimeter(a: float, b: float, tol: float) -> float:
@@ -143,7 +131,7 @@ def _agm_perimeter(a: float, b: float, tol: float) -> float:
     while abs(x - y) > tol:
         iterations += 1
         if iterations > AGM_MAX_ITER:
-            raise NoConvergence(f"AGM did not converge in {AGM_MAX_ITER} iterations")
+            raise NumericError(f"AGM did not converge in {AGM_MAX_ITER} iterations")
         c = 0.5 * (x - y)
         x, y = 0.5 * (x + y), math.sqrt(x * y)
         csum += weight * c * c
@@ -175,7 +163,7 @@ def ramanujan_lambda_sq(h: float) -> float:
     ellipses only reach h = 4/pi - 1.
     """
     if not 0.0 <= h <= 1.0 / 3.0:
-        raise DomainError(f"h = {h} outside [0, 1/3]")
+        raise NumericError(f"h = {h} outside [0, 1/3]")
     return 4.0 * h - 3.0 * h * h / (2.0 + math.sqrt(1.0 - 3.0 * h))
 
 
@@ -215,7 +203,7 @@ def _exact_row(lam: float) -> ErrorRow:
         H = (H << (k - K)) + t
         K = k
     else:
-        raise NoConvergence("exact series summation exceeded the iteration cap")
+        raise NumericError("exact series summation exceeded the iteration cap")
     # every term is odd (m and the coefficient numerators are) and every
     # earlier one was shifted left, so H is odd: h = H / 2^K and the radicand
     # 1 - 3h = (2^K - 3H) / 2^K are already in lowest terms, the numerators
@@ -261,7 +249,7 @@ def error_sweep(lambda_grid, cfg: PrecisionConfig = DEFAULT_CONFIG) -> list[Erro
     rows = []
     for lam in lambda_grid:
         if not (0.0 <= lam < 1.0):
-            raise DomainError(f"lambda = {lam} outside [0, 1)")
+            raise NumericError(f"lambda = {lam} outside [0, 1)")
         if lam == 0.0:
             rows.append(ErrorRow(0.0, 0.0, 0.0, 0.0, 0.0, -1.0))
         elif lam <= EXACT_SWEEP_CUTOFF:
@@ -292,9 +280,9 @@ def measured_excess(perimeter: float, axis_sum: float) -> float:
     """h = L/(pi*s) - 1 for a finite perimeter L and a finite positive axis
     sum s, floored at 0."""
     if not (math.isfinite(perimeter) and math.isfinite(axis_sum)):
-        raise DomainError(f"perimeter and axis sum must be finite, got {perimeter} and {axis_sum}")
+        raise NumericError(f"perimeter and axis sum must be finite, got {perimeter} and {axis_sum}")
     if not (axis_sum > 0):
-        raise DomainError(f"axis sum must be positive, got {axis_sum}")
+        raise NumericError(f"axis sum must be positive, got {axis_sum}")
     perimeter, axis_sum = to_unit_sum(perimeter, axis_sum)
     return max(0.0, perimeter / (math.pi * axis_sum) - 1.0)
 
@@ -332,12 +320,12 @@ def invert_from_measurements(perimeter: float, axis_sum: float) -> Ellipse:
     # 4*s never rounds (an overflow to inf still compares right); pi*s is
     # compared at unit scale, where it cannot be subnormal
     if perimeter > 4.0 * axis_sum:
-        raise OutOfRange(
+        raise NumericError(
             f"perimeter {perimeter} above the degenerate bound 4*sum = {4.0 * axis_sum}"
         )
     unit_perimeter, unit_sum = to_unit_sum(perimeter, axis_sum)
     if unit_perimeter < math.pi * unit_sum:
-        raise OutOfRange(
+        raise NumericError(
             f"perimeter {perimeter} below the circle bound pi*sum = {_circle_bound(axis_sum)}"
         )
     lam = min(1.0, math.sqrt(ramanujan_lambda_sq(h)))

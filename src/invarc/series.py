@@ -21,31 +21,7 @@ Coefficient = Union[Fraction, int, str]
 
 
 class SeriesError(ArithmeticError):
-    """Base class for series arithmetic failures."""
-
-
-class ZeroConstantTerm(SeriesError):
-    """Division where the denominator's valuation is not compensated."""
-
-
-class DivisionByZeroSeries(SeriesError):
-    """Division by a series that is zero through its whole order."""
-
-
-class NonUnitConstant(SeriesError):
-    """Square root of a series whose constant term is not 1."""
-
-
-class NonzeroInnerConstant(SeriesError):
-    """Composition with an inner series whose constant term is not 0."""
-
-
-class ZeroLinearTerm(SeriesError):
-    """Reversion of a series with no linear term."""
-
-
-class NotCentered(SeriesError):
-    """Reversion of a series whose constant term is not 0."""
+    """Any series arithmetic refusal; the message names which."""
 
 
 def _frac(value: Coefficient) -> Fraction:
@@ -223,7 +199,7 @@ class PowerSeries:
         output coefficient is reduced once.
         """
         if den.is_zero():
-            raise DivisionByZeroSeries("denominator is zero through its whole order")
+            raise SeriesError("denominator is zero through its whole order")
         v = den.valuation()
         assert v is not None
         num_c = self._coeffs
@@ -231,7 +207,7 @@ class PowerSeries:
         if v > 0:
             nv = self.valuation()
             if nv is not None and nv < v:
-                raise ZeroConstantTerm(
+                raise SeriesError(
                     f"denominator valuation {v} exceeds numerator valuation {nv}"
                 )
             num_c = num_c[v:]
@@ -250,7 +226,7 @@ class PowerSeries:
     def sqrt(self) -> "PowerSeries":
         """Principal square root of a series with constant term 1."""
         if self._coeffs[0] != 1:
-            raise NonUnitConstant(f"sqrt needs constant term 1, got {self._coeffs[0]}")
+            raise SeriesError(f"sqrt needs constant term 1, got {self._coeffs[0]}")
         n = self.order
         r = [Fraction(1)] + [Fraction(0)] * n
         for k in range(1, n + 1):
@@ -263,7 +239,7 @@ class PowerSeries:
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """self(inner) for inner with zero constant term."""
         if inner._coeffs[0] != 0:
-            raise NonzeroInnerConstant("inner series must vanish at 0")
+            raise SeriesError("inner series must vanish at 0")
         n = min(self.order, inner.order)
         inner_t = inner.truncate(n)
         result = PowerSeries.zero(n)
@@ -283,9 +259,9 @@ class PowerSeries:
         product the gcd of the list and its denominator is divided out.
         """
         if self._coeffs[0] != 0:
-            raise NotCentered("can only revert a series with zero constant term")
+            raise SeriesError("can only revert a series with zero constant term")
         if self.order < 1 or self._coeffs[1] == 0:
-            raise ZeroLinearTerm("reversion needs a nonzero linear coefficient")
+            raise SeriesError("reversion needs a nonzero linear coefficient")
         n = self.order
         b, db = _scaled(self._coeffs[1:])
         q, scale = _int_quotient([1] + [0] * (n - 1), b, n - 1)

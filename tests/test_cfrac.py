@@ -7,12 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invarc.cfrac import (
+    CFracError,
     CFraction,
-    DegenerateHead,
-    IndexOutOfRange,
-    InsufficientDepth,
-    InsufficientOrder,
-    IrregularExpansion,
     NotInRamanujanShape,
     TailClosedForm,
     cfrac_expand,
@@ -22,9 +18,9 @@ from invarc.cfrac import (
     ramanujan_series,
 )
 from invarc.derivation import true_inverse_series
-from invarc.series import NotCentered, PowerSeries
+from invarc.series import PowerSeries
 
-from series_helpers import polynomial, ramanujan_by_sqrt, tail_series
+from series_helpers import polynomial, ramanujan_by_sqrt, tail_series, whole
 
 
 TRUE_PARTIALS = (F(1, 2), F(3, 4), F(3, 4), F(31, 36), F(911, 1116))
@@ -82,8 +78,8 @@ def test_expand_irregular_input():
     # 4h - h^2 + h^4: D_1 = 1/(1 - h^2), so 1 - D_1 has no linear term
     s = polynomial([0, 4, -1, 0, 1], 6)
     with pytest.raises(
-        IrregularExpansion,
-        match="partial numerator 1 vanished but the remainder did not terminate",
+        CFracError,
+        match=whole("partial numerator 1 vanished but the remainder did not terminate"),
     ):
         cfrac_expand(s, 3)
 
@@ -107,19 +103,20 @@ def test_expand_does_not_divide(monkeypatch):
 
 
 def test_expand_needs_order_depth_plus_two():
-    with pytest.raises(InsufficientOrder):
+    with pytest.raises(CFracError, match=whole("series order 5 cannot support depth 4; need 6")):
         cfrac_expand(true_inverse_series(5), 4)
 
 
 def test_expand_rejects_nonzero_constant():
-    with pytest.raises(NotCentered):
+    with pytest.raises(CFracError, match=whole("series must vanish at 0")):
         cfrac_expand(polynomial([1, 4, -1], 6), 2)
 
 
 def test_expand_rejects_degenerate_head():
-    with pytest.raises(DegenerateHead):
+    message = whole("normal form needs nonzero h and h^2 coefficients")
+    with pytest.raises(CFracError, match=message):
         cfrac_expand(polynomial([0, 0, 1], 6), 2)
-    with pytest.raises(DegenerateHead):
+    with pytest.raises(CFracError, match=message):
         cfrac_expand(polynomial([0, 4, 0, 1], 6), 2)
 
 
@@ -137,13 +134,15 @@ def test_to_series_depth_d_certifies_order_d_plus_2():
     back = cfrac_to_series(cf, 5)
     assert back.agreement(source.truncate(5)) == (True, 5)
     # order d+2 is also the limit: more needs partials the fraction lacks
-    with pytest.raises(InsufficientDepth):
+    with pytest.raises(CFracError, match=whole("depth 3 certifies only order 5")):
         cfrac_to_series(cf, 6)
 
 
 def test_to_series_needs_materializable_partials():
     cf = cfrac_expand(true_inverse_series(6), 4)
-    with pytest.raises(InsufficientDepth):
+    with pytest.raises(ValueError, match=whole("order must be positive")):
+        cfrac_to_series(cf, 0)
+    with pytest.raises(CFracError, match=whole("depth 4 certifies only order 6")):
         cfrac_to_series(cf, 12)
 
 
@@ -180,9 +179,9 @@ def test_freeze_is_idempotent():
 
 def test_freeze_index_bounds():
     cf = cfrac_expand(true_inverse_series(8), 6)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(CFracError, match=whole("freeze index 0 outside 1..6")):
         freeze_tail(cf, 0, F(3, 4))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(CFracError, match=whole("freeze index 7 outside 1..6")):
         freeze_tail(cf, 7, F(3, 4))
 
 
@@ -211,6 +210,10 @@ def test_closed_form_recurrence_matches_the_sqrt_oracle():
 
 def test_tail_closed_form_string():
     assert str(TailClosedForm(F(3, 4))) == "(1 + sqrt(1 - 3h))/2"
+    assert str(TailClosedForm(F(1, 4))) == "(1 + sqrt(1 - h))/2"
+    assert str(TailClosedForm(F(-1, 4))) == "(1 + sqrt(1 + h))/2"
+    assert str(TailClosedForm(F(-1, 2))) == "(1 + sqrt(1 + 2h))/2"
+    assert str(TailClosedForm(F(0))) == "(1 + sqrt(1))/2"
 
 
 def test_collapse_gives_canonical_string():
@@ -296,14 +299,14 @@ def _expand_by_division(s, depth):
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if s.order < depth + 2:
-        raise InsufficientOrder(
+        raise CFracError(
             f"series order {s.order} cannot support depth {depth}; need {depth + 2}"
         )
     if s[0] != 0:
-        raise NotCentered("series must vanish at 0")
+        raise CFracError("series must vanish at 0")
     c1, c2 = s[1], s[2]
     if c1 == 0 or c2 == 0:
-        raise DegenerateHead("normal form needs nonzero h and h^2 coefficients")
+        raise CFracError("normal form needs nonzero h and h^2 coefficients")
     head = -c2
     denom = PowerSeries.monomial(c1, 1, s.order) - s
     d = PowerSeries.monomial(head, 2, s.order).divide(denom)
@@ -316,7 +319,7 @@ def _expand_by_division(s, depth):
             break
         a = remainder[1]
         if a == 0:
-            raise IrregularExpansion(
+            raise CFracError(
                 f"partial numerator {k} vanished but the remainder did not terminate"
             )
         partials.append(a)

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invarc import cli
 from invarc.cli import run
+from invarc.numeric import ErrorRow
 from invarc.reference import REFERENCE_SERIES
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -55,6 +57,9 @@ def test_verify_series_rejects_low_order(capsys):
     code, _, err = invoke(capsys, "verify-series", "--order", "6")
     assert code == 1
     assert "at least 8" in err
+    code, _, err = invoke(capsys, "verify-series", "--order", "8.5")
+    assert code == 1
+    assert err == "usage error: argument --order: not an integer: '8.5'\n"
 
 
 def test_verify_series_tsv_golden(capsys):
@@ -119,6 +124,23 @@ def test_out_unwritable_target_is_one_error_line(tmp_path, capsys, name):
     # no temp file left behind, in the target's directory or next to it
     assert [p.name for p in tmp_path.iterdir()] == ["a_directory"]
     assert list((tmp_path / "a_directory").iterdir()) == []
+
+
+def test_out_failed_rename_is_one_error_line(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "table.tsv"
+    target.write_text("stale\n")
+
+    def refuse(src, dst):
+        raise OSError(13, "rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = invoke(capsys, "verify-series", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: rename refused\n"
+    # the old file is kept and the .invarc-* temp file removed
+    assert [p.name for p in tmp_path.iterdir()] == ["table.tsv"]
+    assert target.read_text() == "stale\n"
 
 
 def test_out_writes_through_a_symlink(tmp_path, capsys):
@@ -233,6 +255,30 @@ def test_error_table_out_of_domain(capsys):
     code, _, err = invoke(capsys, "error-table", "--lambda-max", "1.0")
     assert code == 1  # rejected before the sweep: max must stay below 1
     assert "usage error" in err
+
+
+def test_error_table_band_check_failure(capsys, monkeypatch):
+    # every real row with lambda <= 0.2 takes the exact path and meets the
+    # bands, so feed the check synthetic rows
+    def sweep(grid, cfg):
+        return [
+            ErrorRow(0.0, 0.0, 0.0, 0.0, 0.0, -1.0),
+            ErrorRow(0.03125, 0.0, 0.0, 0.0, 0.0, -1.03125),
+            ErrorRow(0.03125, 0.0, 0.0, 0.0, 0.0, -1.0),
+            ErrorRow(0.125, 0.0, 0.0, 0.0, 0.0, -0.75),
+            ErrorRow(0.5, 0.0, 0.0, 0.0, 0.0, 3.0),
+        ]
+
+    monkeypatch.setattr(cli, "error_sweep", sweep)
+    code, out, err = invoke(capsys, "error-table", "--steps", "4")
+    assert code == 2
+    assert out.count("\n") == 6
+    assert err == (
+        "band check failed: lambda 0.03125: |normalized + 1| = 0.03125 exceeds 0.02"
+        " (band up to lambda = 0.05)\n"
+        "band check failed: lambda 0.125: |normalized + 1| = 0.25 exceeds 0.15"
+        " (band up to lambda = 0.2)\n"
+    )
 
 
 def test_error_table_out_file_atomic(tmp_path, capsys):

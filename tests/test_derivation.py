@@ -17,7 +17,7 @@ from invarc.derivation import (
 from invarc.reference import CFRAC_PARTIALS, REFERENCE_SERIES
 from invarc.series import PowerSeries
 
-from series_helpers import polynomial
+from series_helpers import polynomial, whole
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -121,6 +121,8 @@ def test_report_text_golden():
 
 
 def test_series_validity_orders():
+    with pytest.raises(ValueError, match=whole("coefficient index must be non-negative")):
+        ivory_coefficient(-1)
     with pytest.raises(ValueError):
         ivory_series(-1)
     with pytest.raises(ValueError):

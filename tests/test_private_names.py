@@ -5,10 +5,13 @@ passes every test; this guard lists the `_name` functions, classes and
 assignments at the top level of each module under src/invarc and asserts
 that the package refers to each one somewhere besides its definition.
 Likewise each name a module imports must be read in that module, so
-neither a dead import nor a re-export layer can come back.
+neither a dead import nor a re-export layer can come back, and each layer
+raises one error type, so an exception subclass must be one that some
+`except` clause tells apart.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "invarc"
@@ -71,3 +74,31 @@ def test_every_import_is_used_in_its_module():
         }
         unused += [f"{path.name}: {name}" for name in _imports(tree) if name not in loaded]
     assert unused == []
+
+
+def test_every_exception_subclass_is_caught_somewhere():
+    # a layer's base derives from a builtin exception and carries the
+    # refusal in its message; a subclass of it only earns its place when a
+    # caller catches it by name
+    caught = set()
+    errors = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+        module = importlib.import_module(f"invarc.{path.stem}")
+        errors += [
+            value
+            for value in vars(module).values()
+            if isinstance(value, type)
+            and issubclass(value, BaseException)
+            and value.__module__ == module.__name__
+        ]
+    assert errors, "no exception classes found: the package path is wrong"
+    uncaught = [
+        f"{cls.__module__}.{cls.__name__}"
+        for cls in errors
+        if any(base.__module__ != "builtins" for base in cls.__bases__)
+        and cls.__name__ not in caught
+    ]
+    assert uncaught == []

@@ -7,7 +7,7 @@ import pytest
 
 from invarc.cfrac import CFraction, TailClosedForm
 from invarc.derivation import full_report
-from invarc.numeric import DomainError, Ellipse, PrecisionConfig
+from invarc.numeric import Ellipse, NumericError, PrecisionConfig
 
 # (factory, field names, bad field values with the message each gets); each
 # call of the factory builds an equal instance
@@ -62,6 +62,6 @@ def test_records_are_frozen_hashable_keep_their_repr_and_checks(make, fields, re
     cls = type(record)
     for args, message in rejects:
         for call in (lambda: cls(*args), lambda: cls(**dict(zip(fields, args)))):
-            with pytest.raises(DomainError) as excinfo:
+            with pytest.raises(NumericError) as excinfo:
                 call()
             assert str(excinfo.value) == message
