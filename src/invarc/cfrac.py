@@ -36,43 +36,35 @@ class CFraction(NamedTuple):
 
     periodic_from, when set, is the 1-based index from which every partial
     coefficient holds the same frozen value (the tail is conceptually
-    infinite).  terminated marks an expansion that ended early because some
-    remainder 1 - D_k was identically zero: the source was a rational
-    function and the stored partials are complete.
+    infinite).  An expansion that holds fewer partials than the depth it
+    was asked for ended early because some remainder 1 - D_k was
+    identically zero: the source was a rational function and the stored
+    partials are complete.
     """
 
     leading: Fraction
     head: Fraction
     partials: tuple[Fraction, ...]
     periodic_from: int | None = None
-    terminated: bool = False
 
     @property
     def depth(self) -> int:
         return len(self.partials)
 
-    def partial_strings(self) -> list[str]:
-        return [str(a) for a in self.partials]
 
-
-class TailClosedForm(NamedTuple):
+def tail_closed_form(c: Fraction) -> str:
     """Closed form of a periodic tail B = 1 - c*h/B with B(0) = 1.
 
     Solving the quadratic B^2 - B + c*h = 0 and picking the branch that is
     1 at h = 0 gives B(h) = (1 + sqrt(1 - 4*c*h))/2.
     """
-
-    numerator_coeff: Fraction
-
-    def radicand_string(self) -> str:
-        slope = 4 * self.numerator_coeff
-        if slope == 0:
-            return "1"
+    slope = 4 * c
+    if slope == 0:
+        radicand = "1"
+    else:
         term = "h" if abs(slope) == 1 else f"{abs(slope)}h"
-        return f"1 - {term}" if slope > 0 else f"1 + {term}"
-
-    def __str__(self) -> str:
-        return f"(1 + sqrt({self.radicand_string()}))/2"
+        radicand = f"1 - {term}" if slope > 0 else f"1 + {term}"
+    return f"(1 + sqrt({radicand}))/2"
 
 
 CLOSED_FORM = "4h - 3h^2/(2 + sqrt(1 - 3h))"
@@ -112,7 +104,9 @@ def cfrac_expand(s: PowerSeries, depth: int) -> CFraction:
     D_k is kept as a quotient num/den of integer coefficient lists
     (Viskovatov's division-free recurrence): with rem = den - num, so that
     1 - D_k = rem/den, a step is a_k = rem[1]/den[0] and D_{k+1} =
-    a_k*den/(rem/h), one coefficient shorter.
+    a_k*den/(rem/h), one coefficient shorter.  When some 1 - D_k is
+    identically zero the source was a rational function and the expansion
+    stops there, with fewer than depth partials.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -131,11 +125,9 @@ def cfrac_expand(s: PowerSeries, depth: int) -> CFraction:
     den, _ = _scaled([-c for c in s.coeffs[2:]])
     num = [den[0]] + [0] * (len(den) - 1)
     partials: list[Fraction] = []
-    terminated = False
     for k in range(1, depth + 1):
         rem = [q - p for p, q in zip(num, den)]
         if not any(rem):
-            terminated = True
             break
         a = Fraction(rem[1], den[0])
         if a == 0:
@@ -149,7 +141,7 @@ def cfrac_expand(s: PowerSeries, depth: int) -> CFraction:
             g = math.gcd(*num, *den)
             num = [p // g for p in num]
             den = [q // g for q in den]
-    return CFraction(c1, head, tuple(partials), None, terminated)
+    return CFraction(c1, head, tuple(partials))
 
 
 def _materialized_partials(cf: CFraction, need: int) -> list[Fraction]:
@@ -188,7 +180,7 @@ def freeze_tail(cf: CFraction, from_index: int, value) -> CFraction:
         raise CFracError(f"freeze index {from_index} outside 1..{cf.depth}")
     kept = cf.partials[: from_index - 1]
     frozen = (value,) * (cf.depth - from_index + 1)
-    return CFraction(cf.leading, cf.head, kept + frozen, from_index, False)
+    return CFraction(cf.leading, cf.head, kept + frozen, from_index)
 
 
 def collapse_to_closed_form(cf: CFraction) -> str:

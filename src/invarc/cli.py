@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import os
 import sys
 import tempfile
@@ -30,10 +29,10 @@ from fractions import Fraction
 from .cfrac import (
     CFracError,
     NotInRamanujanShape,
-    TailClosedForm,
     cfrac_expand,
     collapse_to_closed_form,
     freeze_tail,
+    tail_closed_form,
 )
 from .derivation import full_report, true_inverse_series
 from .numeric import (
@@ -137,46 +136,53 @@ def _write_out(text: str, out: str) -> None:
         raise
 
 
+# the verify-series tables in print order, each with its text-format label;
+# the keys are the tsv series names
+_TABLE_LABELS = {
+    "ivory": "ivory (powers of lambda^2)",
+    "h-series": "h-series (powers of lambda^2)",
+    "true": "true inverse (powers of h)",
+    "approx": "closed-form expansion (powers of h)",
+    "difference": "difference, true - approx (powers of h)",
+    "cfrac-partials": "continued-fraction partial numerators",
+}
+
+
 def _cmd_verify_series(args) -> tuple[str, int]:
     report = full_report(args.order)
     # the partials are one more table, keyed by their 1-based index
+    tables = {name: dict(enumerate(s.coeffs)) for name, s in report.series_by_name().items()}
+    tables["cfrac-partials"] = dict(enumerate(report.cfrac_true.partials, start=1))
     references = {**REFERENCE_SERIES, "cfrac-partials": dict(enumerate(CFRAC_PARTIALS, start=1))}
-    partial_rows = (
-        ("cfrac-partials", index, coeff)
-        for index, coeff in enumerate(report.cfrac_true.partials, start=1)
-    )
-    rows = []
+    tsv = args.format == "tsv"
+    lines = ["series\tpower\tcoefficient\tstatus" if tsv else f"working order: {args.order}"]
     mismatches = []
     checked = 0
-    for name, power, coeff in itertools.chain(report.coefficient_rows(), partial_rows):
-        expected = references[name].get(power)
-        if expected is None:
-            status = "derived"
-        else:
-            checked += 1
-            if coeff == expected:
-                status = "reference"
+    for name, table in tables.items():
+        if not tsv:
+            lines.append(f"{_TABLE_LABELS[name]}: " + ", ".join(map(str, table.values())))
+        for power, coeff in table.items():
+            expected = references[name].get(power)
+            if expected is None:
+                status = "derived"
             else:
-                status = f"mismatch(expected {expected})"
-                mismatches.append((name, power, coeff, expected))
-        rows.append((name, power, coeff, status))
-
-    if args.format == "tsv":
-        lines = ["series\tpower\tcoefficient\tstatus"]
-        lines.extend(f"{n}\t{p}\t{c}\t{s}" for n, p, c, s in rows)
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [report.to_text().rstrip("\n")]
-        for name, power, coeff, expected in mismatches:
-            lines.append(
-                f"MISMATCH {name} [{power}]: computed {coeff}, reference {expected}"
-            )
+                checked += 1
+                if coeff == expected:
+                    status = "reference"
+                else:
+                    status = f"mismatch(expected {expected})"
+                    mismatches.append(
+                        f"MISMATCH {name} [{power}]: computed {coeff}, reference {expected}"
+                    )
+            if tsv:
+                lines.append(f"{name}\t{power}\t{coeff}\t{status}")
+    if not tsv:
+        lines.extend(mismatches)
         if mismatches:
             lines.append(f"reference check: {len(mismatches)} of {checked} mismatch")
         else:
             lines.append(f"reference check: {checked} coefficients match")
-        text = "\n".join(lines) + "\n"
-    return text, 2 if mismatches else 0
+    return "\n".join(lines) + "\n", 2 if mismatches else 0
 
 
 def _cmd_cfrac(args) -> tuple[str, int]:
@@ -186,17 +192,16 @@ def _cmd_cfrac(args) -> tuple[str, int]:
         f"source: true inverse series through x^{args.depth + 2}",
         f"leading coefficient: {cf.leading}",
         f"head numerator coefficient: {cf.head}",
-        "partial numerators: " + ", ".join(cf.partial_strings()),
+        "partial numerators: " + ", ".join(map(str, cf.partials)),
     ]
     if args.freeze is not None:
         frozen = freeze_tail(cf, args.freeze_from, args.freeze)
         lines.append(
             f"frozen from a_{args.freeze_from}: "
-            + ", ".join(frozen.partial_strings())
+            + ", ".join(map(str, frozen.partials))
             + " (periodic)"
         )
-        tail = TailClosedForm(args.freeze)
-        lines.append(f"tail closed form: {tail}")
+        lines.append(f"tail closed form: {tail_closed_form(args.freeze)}")
         try:
             closed = collapse_to_closed_form(frozen)
         except NotInRamanujanShape as exc:
@@ -261,15 +266,6 @@ def _cmd_invert(args) -> tuple[str, int]:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-
     handlers = {
         "verify-series": _cmd_verify_series,
         "cfrac": _cmd_cfrac,
@@ -277,10 +273,13 @@ def run(argv=None) -> int:
         "invert": _cmd_invert,
     }
     try:
+        args = build_parser().parse_args(argv)
         text, code = handlers[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (NumericError, CFracError, SeriesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .cfrac import CFraction, cfrac_expand, ramanujan_series
 from .series import PowerSeries
@@ -64,7 +64,6 @@ class DerivationReport(NamedTuple):
     approx_series: PowerSeries
     difference: PowerSeries
     cfrac_true: CFraction
-    working_order: int
 
     def series_by_name(self) -> dict[str, PowerSeries]:
         return {
@@ -74,29 +73,6 @@ class DerivationReport(NamedTuple):
             "approx": self.approx_series,
             "difference": self.difference,
         }
-
-    def coefficient_rows(self) -> Iterator[tuple[str, int, Fraction]]:
-        """(series name, power, coefficient) for every certified coefficient."""
-        for name, series in self.series_by_name().items():
-            for power, coeff in enumerate(series.coeffs):
-                yield name, power, coeff
-
-    def to_text(self) -> str:
-        lines = [f"working order: {self.working_order}"]
-        labels = {
-            "ivory": "ivory (powers of lambda^2)",
-            "h-series": "h-series (powers of lambda^2)",
-            "true": "true inverse (powers of h)",
-            "approx": "closed-form expansion (powers of h)",
-            "difference": "difference, true - approx (powers of h)",
-        }
-        for name, series in self.series_by_name().items():
-            lines.append(f"{labels[name]}: " + ", ".join(series.to_strings()))
-        lines.append(
-            "continued-fraction partial numerators: "
-            + ", ".join(self.cfrac_true.partial_strings())
-        )
-        return "\n".join(lines) + "\n"
 
 
 def full_report(order: int) -> DerivationReport:
@@ -117,5 +93,4 @@ def full_report(order: int) -> DerivationReport:
         approx_series=approx,
         difference=true - approx,
         cfrac_true=cfrac_expand(true, order - 2),
-        working_order=order,
     )

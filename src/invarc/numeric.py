@@ -210,7 +210,7 @@ def _exact_row(lam: float) -> ErrorRow:
     # and denominators that lead_gap and the floored root are defined on
     lead_gap = K + 1 - H.bit_length()
     bits = 4 * max(1, lead_gap + 1) + 48
-    # sqrt(1 - 3h) >= R / 2^J, floored with error below 2^-bits
+    # sqrt(1 - 3h) >= R / 2^J, floored with error below 2^-J = 2^-(K + bits)
     J = K + bits
     R = math.isqrt(((1 << K) - 3 * H) << (K + 2 * bits))
     D = (2 << J) + R  # 2 + root = D / 2^J

@@ -138,9 +138,6 @@ class PowerSeries:
             raise ValueError("cannot extend a series; higher coefficients are unknown")
         return PowerSeries(self._coeffs[: order + 1])
 
-    def to_strings(self) -> list[str]:
-        return [str(c) for c in self._coeffs]
-
     # -- comparison ------------------------------------------------------
 
     def agreement(self, other: "PowerSeries") -> tuple[bool, int]:
@@ -277,5 +274,5 @@ class PowerSeries:
     # -- display ---------------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"PowerSeries({list(self.to_strings())!r})"
+        return f"PowerSeries({list(map(str, self._coeffs))!r})"
 

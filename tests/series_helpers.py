@@ -2,7 +2,8 @@
 the package replaced.
 
 The builders (`polynomial`, `scale`, `tail_series`) were once methods of
-`PowerSeries` and `TailClosedForm`; no code under src/ needs them any more.
+`PowerSeries` and of the former `TailClosedForm` record; no code under src/
+needs them any more.
 The oracles are the Fraction algorithms that the integer kernels replaced;
 the kernels must match them, exceptions and messages included.
 """
@@ -35,9 +36,9 @@ def scale(s, factor):
     return PowerSeries(f * c for c in s.coeffs)
 
 
-def tail_series(tail, order):
-    """Expansion of a TailClosedForm B = (1 + sqrt(1 - 4ch))/2."""
-    radicand = polynomial([1, -4 * tail.numerator_coeff], order)
+def tail_series(c, order):
+    """Expansion of the periodic tail B = (1 + sqrt(1 - 4ch))/2."""
+    radicand = polynomial([1, -4 * c], order)
     return scale(PowerSeries.one(order) + radicand.sqrt(), Fraction(1, 2))
 
 

@@ -10,12 +10,12 @@ from invarc.cfrac import (
     CFracError,
     CFraction,
     NotInRamanujanShape,
-    TailClosedForm,
     cfrac_expand,
     cfrac_to_series,
     collapse_to_closed_form,
     freeze_tail,
     ramanujan_series,
+    tail_closed_form,
 )
 from invarc.derivation import true_inverse_series
 from invarc.series import PowerSeries
@@ -31,7 +31,7 @@ def test_expand_true_inverse_depth_4():
     assert cf.leading == 4
     assert cf.head == 1
     assert cf.partials == TRUE_PARTIALS[:4]
-    assert not cf.terminated
+    assert cf.depth == 4
 
 
 def test_expand_depth_4_matches_symbolic_solve():
@@ -69,9 +69,15 @@ def test_partials_are_depth_independent():
 def test_expand_terminating_input():
     s = polynomial([0, 4, -1], 8)  # 4h - h^2 exactly
     cf = cfrac_expand(s, 4)
-    assert cf.terminated
+    assert cf.depth < 4
     assert cf.partials == ()
     assert cf.leading == 4 and cf.head == 1
+
+
+def test_expand_stops_after_a_nonempty_prefix():
+    # a rational source ends the expansion after its own partials
+    cf = cfrac_expand(_rational_source(4, 1, [F(1, 2), F(3, 4)], 10), 6)
+    assert (cf.leading, cf.head, cf.partials) == (4, 1, (F(1, 2), F(3, 4)))
 
 
 def test_expand_irregular_input():
@@ -151,7 +157,7 @@ def test_freeze_tail_from_2():
     frozen = freeze_tail(cf, 2, F(3, 4))
     assert frozen.partials == (F(1, 2),) + (F(3, 4),) * 5
     assert frozen.periodic_from == 2
-    assert not frozen.terminated
+    assert frozen.depth == 6
 
 
 def test_frozen_expansion_h6_coefficient():
@@ -195,8 +201,7 @@ def test_freeze_from_1_replaces_everything():
 def test_tail_closed_form_satisfies_quadratic():
     # B = 1 - ch/B with B(0) = 1 means B^2 - B + ch = 0
     for c in (F(3, 4), F(1, 2), F(2, 7)):
-        tail = TailClosedForm(c)
-        b = tail_series(tail, 10)
+        b = tail_series(c, 10)
         ch = PowerSeries.monomial(c, 1, 10)
         residue = b * b - b + ch
         assert residue.is_zero()
@@ -209,11 +214,11 @@ def test_closed_form_recurrence_matches_the_sqrt_oracle():
 
 
 def test_tail_closed_form_string():
-    assert str(TailClosedForm(F(3, 4))) == "(1 + sqrt(1 - 3h))/2"
-    assert str(TailClosedForm(F(1, 4))) == "(1 + sqrt(1 - h))/2"
-    assert str(TailClosedForm(F(-1, 4))) == "(1 + sqrt(1 + h))/2"
-    assert str(TailClosedForm(F(-1, 2))) == "(1 + sqrt(1 + 2h))/2"
-    assert str(TailClosedForm(F(0))) == "(1 + sqrt(1))/2"
+    assert tail_closed_form(F(3, 4)) == "(1 + sqrt(1 - 3h))/2"
+    assert tail_closed_form(F(1, 4)) == "(1 + sqrt(1 - h))/2"
+    assert tail_closed_form(F(-1, 4)) == "(1 + sqrt(1 + h))/2"
+    assert tail_closed_form(F(-1, 2)) == "(1 + sqrt(1 + 2h))/2"
+    assert tail_closed_form(F(0)) == "(1 + sqrt(1))/2"
 
 
 def test_collapse_gives_canonical_string():
@@ -268,7 +273,7 @@ def test_closed_form_expr_series_prefix():
 
 def test_serialization_strings():
     cf = cfrac_expand(true_inverse_series(7), 5)
-    assert cf.partial_strings() == ["1/2", "3/4", "3/4", "31/36", "911/1116"]
+    assert list(map(str, cf.partials)) == ["1/2", "3/4", "3/4", "31/36", "911/1116"]
 
 
 @given(
@@ -311,11 +316,9 @@ def _expand_by_division(s, depth):
     denom = PowerSeries.monomial(c1, 1, s.order) - s
     d = PowerSeries.monomial(head, 2, s.order).divide(denom)
     partials = []
-    terminated = False
     for k in range(1, depth + 1):
         remainder = PowerSeries.one(d.order) - d
         if remainder.is_zero():
-            terminated = True
             break
         a = remainder[1]
         if a == 0:
@@ -325,7 +328,7 @@ def _expand_by_division(s, depth):
         partials.append(a)
         if k < depth:
             d = PowerSeries.monomial(a, 1, remainder.order).divide(remainder)
-    return CFraction(c1, head, tuple(partials), None, terminated)
+    return CFraction(c1, head, tuple(partials))
 
 
 def _rational_source(leading, head, partials, order):

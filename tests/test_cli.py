@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from invarc import cli
 from invarc.cli import run
 from invarc.numeric import ErrorRow
-from invarc.reference import REFERENCE_SERIES
+from invarc.reference import CFRAC_PARTIALS, REFERENCE_SERIES
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -76,15 +76,48 @@ def test_verify_series_order_40_tsv_golden(capsys):
     assert out.encode() == (FIXTURES / "verify_series_order40.tsv").read_bytes()
 
 
+def test_verify_series_text_golden(capsys):
+    code, out, err = invoke(capsys, "verify-series", "--order", "12")
+    assert (code, err) == (0, "")
+    expected = (FIXTURES / "report_order12.txt").read_text()
+    assert out == expected + "reference check: 52 coefficients match\n"
+
+
 def test_verify_series_reports_a_reference_mismatch(monkeypatch, capsys):
+    # three wrong references, in table order: two series, then a partial
     monkeypatch.setitem(REFERENCE_SERIES["true"], 6, Fraction(-1))
-    code, out, _ = invoke(capsys, "verify-series", "--order", "8")
-    assert code == 2
-    assert "MISMATCH true [6]: computed -273/128, reference -1" in out
-    assert "reference check: 1 of 50 mismatch" in out
-    code, out, _ = invoke(capsys, "verify-series", "--order", "8", "--format", "tsv")
-    assert code == 2
-    assert "true\t6\t-273/128\tmismatch(expected -1)" in out
+    monkeypatch.setitem(REFERENCE_SERIES["difference"], 6, Fraction(1))
+    partials = (Fraction(1, 2), Fraction(9, 4), *CFRAC_PARTIALS[2:])
+    monkeypatch.setattr(cli, "CFRAC_PARTIALS", partials)
+    code, out, err = invoke(capsys, "verify-series")
+    assert (code, err) == (2, "")
+    assert out == (FIXTURES / "report_order12.txt").read_text() + (
+        "MISMATCH true [6]: computed -273/128, reference -1\n"
+        "MISMATCH difference [6]: computed -1/32, reference 1\n"
+        "MISMATCH cfrac-partials [2]: computed 3/4, reference 9/4\n"
+        "reference check: 3 of 52 mismatch\n"
+    )
+    code, out, err = invoke(capsys, "verify-series", "--format", "tsv")
+    assert (code, err) == (2, "")
+    expected = (FIXTURES / "verify_series_order12.tsv").read_text()
+    for row, reference in (
+        ("true\t6\t-273/128", "-1"),
+        ("difference\t6\t-1/32", "1"),
+        ("cfrac-partials\t2\t3/4", "9/4"),
+    ):
+        line = f"\n{row}\treference\n"
+        assert expected.count(line) == 1
+        expected = expected.replace(line, f"\n{row}\tmismatch(expected {reference})\n")
+    assert out == expected
+
+
+def test_usage_errors_from_parsing_and_from_a_handler_print_alike(capsys):
+    code, out, err = invoke(capsys, "cfrac", "--depth", "0")
+    assert (code, out) == (1, "")
+    assert err == "usage error: argument --depth: must be at least 1, got 0\n"
+    code, out, err = invoke(capsys, "error-table", "--lambda-min", "0.3", "--lambda-max", "0.1")
+    assert (code, out) == (1, "")
+    assert err == "usage error: need 0 <= lambda-min <= lambda-max < 1, got 0.3 and 0.1\n"
 
 
 def test_verify_series_out_file(tmp_path, capsys):
