@@ -193,8 +193,10 @@ def collapse_to_closed_form(cf: CFraction) -> str:
     """
     if cf.leading != 4 or cf.head != 1:
         raise NotInRamanujanShape(f"head is ({cf.leading}, {cf.head}), need (4, 1)")
-    if cf.depth < 2 or cf.partials[0] != Fraction(1, 2):
+    if not cf.partials or cf.partials[0] != Fraction(1, 2):
         raise NotInRamanujanShape("first partial numerator must be 1/2")
+    if cf.depth < 2:
+        raise NotInRamanujanShape(f"need at least 2 partial numerators, got {cf.depth}")
     if cf.periodic_from != 2:
         raise NotInRamanujanShape("tail must be frozen from index 2")
     if any(a != Fraction(3, 4) for a in cf.partials[1:]):

@@ -136,8 +136,8 @@ def _write_out(text: str, out: str) -> None:
         raise
 
 
-# the verify-series tables in print order, each with its text-format label;
-# the keys are the tsv series names
+# the verify-series tables in print order with their text-format labels,
+# keyed by tsv series name; the first five follow DerivationReport's fields
 _TABLE_LABELS = {
     "ivory": "ivory (powers of lambda^2)",
     "h-series": "h-series (powers of lambda^2)",
@@ -151,7 +151,7 @@ _TABLE_LABELS = {
 def _cmd_verify_series(args) -> tuple[str, int]:
     report = full_report(args.order)
     # the partials are one more table, keyed by their 1-based index
-    tables = {name: dict(enumerate(s.coeffs)) for name, s in report.series_by_name().items()}
+    tables = {name: dict(enumerate(s.coeffs)) for name, s in zip(_TABLE_LABELS, report[:5])}
     tables["cfrac-partials"] = dict(enumerate(report.cfrac_true.partials, start=1))
     references = {**REFERENCE_SERIES, "cfrac-partials": dict(enumerate(CFRAC_PARTIALS, start=1))}
     tsv = args.format == "tsv"

@@ -65,15 +65,6 @@ class DerivationReport(NamedTuple):
     difference: PowerSeries
     cfrac_true: CFraction
 
-    def series_by_name(self) -> dict[str, PowerSeries]:
-        return {
-            "ivory": self.ivory,
-            "h-series": self.h_series,
-            "true": self.true_series,
-            "approx": self.approx_series,
-            "difference": self.difference,
-        }
-
 
 def full_report(order: int) -> DerivationReport:
     """Run the whole pipeline at one working order.

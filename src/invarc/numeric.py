@@ -11,10 +11,11 @@ already 2e-19.  Float64 cannot see the signal there, so rows with lambda
 at or below :data:`EXACT_SWEEP_CUTOFF` are evaluated exactly in plain
 integers and floated only for output.  A float lambda is an integer over a
 power of two, and so is every perimeter-series coefficient, so h is one
-integer over one power of two (adaptively truncated series) and the
+integer H over one power of two 2^K (adaptively truncated series) and the
 closed form, its error and the normalized error are unreduced integer
-pairs (with an integer-sqrt lower bound for sqrt(1 - 3h)).  Larger lambda
-uses the plain float engines, whose error is then far below the signal.
+pairs, with sqrt(1 - 3h) floored to a multiple of 2^-(K + 64), which moves
+them by less than 2^-87 relative.  Larger lambda uses the plain float
+engines, whose error is then far below the signal.
 """
 
 from __future__ import annotations
@@ -171,15 +172,14 @@ def _exact_row(lam: float) -> ErrorRow:
     """One sweep row in exact integer arithmetic.
 
     With lambda = m / 2^e, x = lambda^2 is X / 2^s for X = m^2 and s = 2e.
-    Each perimeter-series coefficient is an odd integer over a power of
-    two, so each term and each partial sum of h is too: h is kept as
-    H / 2^K.  Summation stops once the dropped tail is below
-    (lambda^2/4)^6 / 1e8, i.e. far below the h^6/32 signal; sqrt(1 - 3h)
-    is bounded from below by a scaled integer square root tight enough
-    that the diff and normalized columns keep better than 1e-5 relative
-    accuracy at every lambda.  The closed form, diff and normalized are
-    unreduced integer pairs, and each column is one correctly rounded
-    int / int division, the same rounding float(Fraction) performs.
+    Each perimeter-series coefficient is an integer over a power of two, so
+    each term and each partial sum of h is too: h is kept as H / 2^K.
+    Summation stops at the first term at or below (x/4)^6 / 2e8, far below
+    the h^6/32 signal, and sqrt(1 - 3h) is floored to a multiple of
+    2^-(K + 64), which moves diff and normalized by less than 2^-87
+    relative.  The closed form, diff and normalized are unreduced integer
+    pairs, and each column is one correctly rounded int / int division, the
+    same rounding float(Fraction) performs.
     """
     m, d = lam.as_integer_ratio()
     s = 2 * (d.bit_length() - 1)
@@ -195,7 +195,7 @@ def _exact_row(lam: float) -> ErrorRow:
         xpow *= X
         t = coefficient.numerator * xpow
         k = coefficient.denominator.bit_length() - 1 + n * s
-        if n > 1 and (2 * 10**8 * t) << target_shift <= X6 << k:
+        if (2 * 10**8 * t) << target_shift <= X6 << k:
             # terms fall by more than a factor x, so the dropped tail is
             # below term/(1 - x), at most 2*term for x <= 0.1225 = 0.35^2
             break
@@ -204,15 +204,14 @@ def _exact_row(lam: float) -> ErrorRow:
         K = k
     else:
         raise NumericError("exact series summation exceeded the iteration cap")
-    # every term is odd (m and the coefficient numerators are) and every
-    # earlier one was shifted left, so H is odd: h = H / 2^K and the radicand
-    # 1 - 3h = (2^K - 3H) / 2^K are already in lowest terms, the numerators
-    # and denominators that lead_gap and the floored root are defined on
-    lead_gap = K + 1 - H.bit_length()
-    bits = 4 * max(1, lead_gap + 1) + 48
-    # sqrt(1 - 3h) >= R / 2^J, floored with error below 2^-J = 2^-(K + bits)
-    J = K + bits
-    R = math.isqrt(((1 << K) - 3 * H) << (K + 2 * bits))
+    # sqrt(1 - 3h) >= R / 2^J with error below 2^-J.  Terms fall by at most a
+    # factor x/16, so the last kept term, at least 2^-K, is at most 2e-8 (x/4)^5
+    # <= 2e-8 h^5.  h lies in [2^-g, 2^(1 - g)) for the leading gap
+    # g = K + 1 - H.bit_length(), and g >= 6 as h < 1/32 here, so
+    # K > 5g + 20 >= 4g + 26 and the root moves approx by under 0.35 h^2 2^-J,
+    # less than 12 * 2^(4g - K - 64) < 2^-87 of |diff| >= h^6/32
+    J = K + 64
+    R = math.isqrt(((1 << K) - 3 * H) << (K + 128))
     D = (2 << J) + R  # 2 + root = D / 2^J
     approx = H * ((D << (K + 2)) - (3 * H << J))  # over D * 2^(2K)
     diff = (X * D << 2 * K) - (approx << s)  # over D * 2^(2K + s)
@@ -290,9 +289,9 @@ def measured_excess(perimeter: float, axis_sum: float) -> float:
 def _circle_bound(axis_sum: float) -> str:
     """pi*sum as the circle-bound refusal prints it.
 
-    Where pi*sum is subnormal its float keeps only a few bits and can print
-    as the very perimeter it refuses, and where it overflows it prints as
-    inf; there the unit-scale bound is rescaled exactly (p/2^k is
+    Where pi*sum is subnormal its float keeps only a few binary digits and
+    can print as the very perimeter it refuses, and where it overflows it
+    prints as inf; there the unit-scale bound is rescaled exactly (p/2^k is
     p*5^k/10^k, p*2^k an integer) and shown to 17 significant digits.
     """
     bound = math.pi * axis_sum

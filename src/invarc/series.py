@@ -123,9 +123,6 @@ class PowerSeries:
             raise IndexError(f"coefficient {power} is beyond certified order {self.order}")
         return self._coeffs[power]
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coeffs)
-
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, None for the zero series."""
         for k, c in enumerate(self._coeffs):
@@ -195,10 +192,9 @@ class PowerSeries:
         the division runs on plain integers (`_int_quotient`), so each
         output coefficient is reduced once.
         """
-        if den.is_zero():
-            raise SeriesError("denominator is zero through its whole order")
         v = den.valuation()
-        assert v is not None
+        if v is None:
+            raise SeriesError("denominator is zero through its whole order")
         num_c = self._coeffs
         den_c = den._coeffs
         if v > 0:

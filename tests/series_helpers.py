@@ -47,9 +47,9 @@ def tail_series(c, order):
 
 def divide_by_fractions(num, den):
     # the former PowerSeries.divide: long division, one Fraction per term
-    if den.is_zero():
-        raise SeriesError("denominator is zero through its whole order")
     v = den.valuation()
+    if v is None:
+        raise SeriesError("denominator is zero through its whole order")
     num_c = num.coeffs
     den_c = den.coeffs
     if v > 0:

@@ -204,7 +204,7 @@ def test_tail_closed_form_satisfies_quadratic():
         b = tail_series(c, 10)
         ch = PowerSeries.monomial(c, 1, 10)
         residue = b * b - b + ch
-        assert residue.is_zero()
+        assert residue.valuation() is None
         assert b[0] == 1
 
 
@@ -247,6 +247,9 @@ def test_collapse_rejects_wrong_shapes():
         collapse_to_closed_form(CFraction(F(3), F(1), (F(1, 2), F(3, 4)), 2))
     with pytest.raises(NotInRamanujanShape, match="first partial numerator must be 1/2"):
         collapse_to_closed_form(freeze_tail(cf, 1, F(3, 4)))  # frozen from a_1
+    one = freeze_tail(cfrac_expand(true_inverse_series(3), 1), 1, F(1, 2))
+    with pytest.raises(NotInRamanujanShape, match="need at least 2 partial numerators, got 1"):
+        collapse_to_closed_form(one)  # a 1/2 head partial but no tail
 
 
 def test_agreement_order_true_vs_frozen():
@@ -318,7 +321,7 @@ def _expand_by_division(s, depth):
     partials = []
     for k in range(1, depth + 1):
         remainder = PowerSeries.one(d.order) - d
-        if remainder.is_zero():
+        if remainder.valuation() is None:
             break
         a = remainder[1]
         if a == 0:

@@ -226,6 +226,28 @@ def test_cfrac_freeze_wrong_value_reports_no_collapse(capsys):
     assert "closed form: none" in out
 
 
+def test_cfrac_depth_30_freeze_golden(capsys):
+    code, out, err = invoke(capsys, "cfrac", "--depth", "30", "--freeze", "3/4")
+    assert (code, err) == (0, "")
+    assert out.encode() == (FIXTURES / "cfrac_depth30_freeze.txt").read_bytes()
+
+
+def test_cfrac_one_partial_is_refused_for_its_depth(capsys):
+    # the one partial is the required 1/2; what is missing is the tail
+    code, out, err = invoke(capsys, "cfrac", "--depth", "1", "--freeze", "1/2",
+                            "--freeze-from", "1")
+    assert (code, err) == (0, "")
+    assert out == (
+        "source: true inverse series through x^3\n"
+        "leading coefficient: 4\n"
+        "head numerator coefficient: 1\n"
+        "partial numerators: 1/2\n"
+        "frozen from a_1: 1/2 (periodic)\n"
+        "tail closed form: (1 + sqrt(1 - 2h))/2\n"
+        "closed form: none (need at least 2 partial numerators, got 1)\n"
+    )
+
+
 def test_cfrac_bad_fraction(capsys):
     code, _, err = invoke(capsys, "cfrac", "--freeze", "abc")
     assert code == 1

@@ -35,7 +35,8 @@ def test_ivory_coefficients():
 
 def test_reference_tables_reproduced():
     report = full_report(12)
-    for name, series in report.series_by_name().items():
+    names = ("ivory", "h-series", "true", "approx", "difference")
+    for name, series in zip(names, report[:5]):
         for power, expected in REFERENCE_SERIES[name].items():
             assert series[power] == expected, (name, power)
 

@@ -406,6 +406,12 @@ def _oracle_exact_row(lam: float) -> ErrorRow:
 @example(5e-324)
 @example(2.5e-310)
 @example(1e-150)
+# powers of two near 2^-7 leave the least room between K and 4 * lead_gap
+@example(2.0**-2)
+@example(2.0**-5)
+@example(2.0**-7)
+@example(2.0**-8)
+@example(2.0**-12)
 @settings(max_examples=150, deadline=None)
 def test_exact_row_matches_the_fraction_oracle(lam):
     got = error_sweep([lam])[0]
