@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invarc.cfrac import (
@@ -24,6 +24,7 @@ from series_helpers import polynomial, ramanujan_by_sqrt, tail_series, whole
 
 
 TRUE_PARTIALS = (F(1, 2), F(3, 4), F(3, 4), F(31, 36), F(911, 1116))
+CLOSED = "4h - 3h^2/(2 + sqrt(1 - 3h))"
 
 
 def test_expand_true_inverse_depth_4():
@@ -150,6 +151,13 @@ def test_to_series_needs_materializable_partials():
         cfrac_to_series(cf, 0)
     with pytest.raises(CFracError, match=whole("depth 4 certifies only order 6")):
         cfrac_to_series(cf, 12)
+    # a periodic_from outside 1..depth names no stored partial to repeat
+    for start in (0, 5):
+        malformed = cf._replace(periodic_from=start)
+        with pytest.raises(CFracError, match=whole("depth 4 certifies only order 6")):
+            cfrac_to_series(malformed, 12)
+        with pytest.raises(CFracError, match=whole("depth 4 certifies only order 6")):
+            collapse_to_closed_form(malformed)
 
 
 def test_freeze_tail_from_2():
@@ -229,27 +237,78 @@ def test_collapse_gives_canonical_string():
 
 
 def test_collapse_expansion_matches_frozen_fraction():
+    # a2 = a3 = 3/4, so freezing at 3/4 from index 2, 3 or 4 is one fraction
     cf = cfrac_expand(true_inverse_series(10), 8)
-    frozen = freeze_tail(cf, 2, F(3, 4))
-    collapse_to_closed_form(frozen)
-    assert ramanujan_series(10) == cfrac_to_series(frozen, 10)
+    for start in (2, 3, 4):
+        frozen = freeze_tail(cf, start, F(3, 4))
+        assert collapse_to_closed_form(frozen) == CLOSED
+        assert ramanujan_series(40) == cfrac_to_series(frozen, 40)
 
 
 def test_collapse_rejects_wrong_shapes():
     cf = cfrac_expand(true_inverse_series(8), 6)
-    with pytest.raises(NotInRamanujanShape, match="tail must be frozen from index 2"):
+    with pytest.raises(NotInRamanujanShape, match=whole("tail must be frozen")):
         collapse_to_closed_form(cf)  # not periodic at all
-    with pytest.raises(NotInRamanujanShape, match="frozen value must be 3/4"):
+    with pytest.raises(NotInRamanujanShape, match=whole("partial numerator 2 is 2/3, need 3/4")):
         collapse_to_closed_form(freeze_tail(cf, 2, F(2, 3)))  # wrong tail value
-    with pytest.raises(NotInRamanujanShape, match="tail must be frozen from index 2"):
-        collapse_to_closed_form(freeze_tail(cf, 3, F(3, 4)))  # freeze too late
-    with pytest.raises(NotInRamanujanShape, match=r"head is \(3, 1\), need \(4, 1\)"):
+    for start in (3, 4):  # not too late: the true a2 and a3 are 3/4 already
+        assert collapse_to_closed_form(freeze_tail(cf, start, F(3, 4))) == CLOSED
+    with pytest.raises(NotInRamanujanShape, match=whole("partial numerator 4 is 31/36, need 3/4")):
+        collapse_to_closed_form(freeze_tail(cf, 5, F(3, 4)))  # keeps a4 = 31/36
+    with pytest.raises(NotInRamanujanShape, match=whole("head is (3, 1), need (4, 1)")):
         collapse_to_closed_form(CFraction(F(3), F(1), (F(1, 2), F(3, 4)), 2))
-    with pytest.raises(NotInRamanujanShape, match="first partial numerator must be 1/2"):
+    with pytest.raises(NotInRamanujanShape, match=whole("partial numerator 1 is 3/4, need 1/2")):
         collapse_to_closed_form(freeze_tail(cf, 1, F(3, 4)))  # frozen from a_1
     one = freeze_tail(cfrac_expand(true_inverse_series(3), 1), 1, F(1, 2))
-    with pytest.raises(NotInRamanujanShape, match="need at least 2 partial numerators, got 1"):
-        collapse_to_closed_form(one)  # a 1/2 head partial but no tail
+    with pytest.raises(NotInRamanujanShape, match=whole("partial numerator 2 is 1/2, need 3/4")):
+        collapse_to_closed_form(one)  # a 1/2 head partial, and 1/2 repeats
+
+
+def test_collapse_compares_every_stored_partial():
+    # periodic_from names where the tail starts, but a stored partial past
+    # it still has to match
+    cf = CFraction(F(4), F(1), (F(1, 2),) + (F(3, 4),) * 10 + (F(5, 7),), 2)
+    with pytest.raises(NotInRamanujanShape, match=whole("partial numerator 12 is 5/7, need 3/4")):
+        collapse_to_closed_form(cf)
+
+
+SHAPE_PARTIALS = st.sampled_from([F(1, 2), F(3, 4), F(2, 3), F(31, 36), F(0)])
+
+
+@st.composite
+def frozen_fractions(draw):
+    # a prefix of the closed form's partials 1/2, 3/4, 3/4, ... then any,
+    # so that accepted fractions and late first mismatches both come up
+    prefix = (F(1, 2),) + (F(3, 4),) * 5
+    kept = draw(st.integers(0, 6))
+    partials = prefix[:kept] + tuple(
+        draw(st.lists(SHAPE_PARTIALS, min_size=max(0, 1 - kept), max_size=6 - kept))
+    )
+    cf = CFraction(draw(st.sampled_from([F(3), F(4)])), draw(st.sampled_from([F(1), F(2)])),
+                   tuple(partials))
+    start = draw(st.integers(1, cf.depth))
+    value = draw(
+        st.one_of(st.just(F(3, 4)), SHAPE_PARTIALS, st.fractions(-2, 2, max_denominator=12))
+    )
+    return freeze_tail(cf, start, value)
+
+
+@given(frozen_fractions())
+@example(CFraction(F(4), F(1), (F(1, 2), F(3, 4), F(3, 4)), 3))
+@example(CFraction(F(4), F(1), (F(1, 2), F(3, 4), F(3, 4), F(3, 4)), 4))
+@example(CFraction(F(4), F(1), (F(1, 2), F(3, 4), F(3, 4), F(2, 3)), 4))
+@settings(max_examples=200, deadline=None)
+def test_collapse_accepts_exactly_the_fractions_that_expand_to_the_closed_form(cf):
+    # series route: a frozen fraction that differs from the closed form's
+    # C-fraction first at partial k <= 7 differs from its series at h^(k+2)
+    expands = cfrac_to_series(cf, 24) == ramanujan_series(24)
+    try:
+        collapse_to_closed_form(cf)
+    except NotInRamanujanShape:
+        collapses = False
+    else:
+        collapses = True
+    assert collapses == expands
 
 
 def test_agreement_order_true_vs_frozen():
@@ -396,3 +455,54 @@ def test_expand_matches_division_oracle_on_rational_sources(leading, head, parti
     depth = len(partials) + extra
     s = _rational_source(leading, head, partials, depth + 2)
     assert _outcome(cfrac_expand, s, depth) == _outcome(_expand_by_division, s, depth)
+
+
+# Rutishauser's quotient-difference algorithm: the partials by a route that
+# shares no code with cfrac_expand (Henrici, Applied and Computational
+# Complex Analysis, Vol. 1, 1974)
+
+
+def _long_division(num, den):
+    # num/den as a Fraction power series, through the length of den
+    quotient = []
+    for k in range(len(den)):
+        acc = (num[k] if k < len(num) else 0) - sum(
+            den[j] * quotient[k - j] for j in range(1, k + 1)
+        )
+        quotient.append(acc / den[0])
+    return quotient
+
+
+def _qd_partials(s):
+    # D_1 = head*h^2/(c1*h - s) = c2/(c2 + c3 h + ...); then
+    # f = (1 - D_1)/h = a1/(1 - a2 h/(1 - a3 h/(1 - ...))), and the qd
+    # table of f gives a2 = q_1, a3 = e_1, a4 = q_2, ... off its top row
+    c = s.coeffs
+    d = _long_division([c[2]], list(c[2:]))
+    f = [-x for x in d[1:]]
+    partials = [f[0]]
+    q = [f[k + 1] / f[k] for k in range(len(f) - 1)]  # q_1^(k)
+    e = [F(0)] * len(f)  # e_0^(k)
+    while len(partials) < len(f):
+        partials.append(q[0])
+        # rhombus rules: e_m^(k) = q_m^(k+1) - q_m^(k) + e_(m-1)^(k+1),
+        # then q_(m+1)^(k) = q_m^(k+1) e_m^(k+1) / e_m^(k)
+        e = [q[k + 1] - q[k] + e[k + 1] for k in range(len(q) - 1)]
+        if len(partials) < len(f):
+            partials.append(e[0])
+        q = [q[k + 1] * e[k + 1] / e[k] for k in range(len(e) - 1)]
+    return tuple(partials)
+
+
+@pytest.mark.parametrize("order", [40, 80])
+def test_qd_partials_match_expand(order):
+    source = true_inverse_series(order)
+    qd = _qd_partials(source)
+    assert len(qd) == order - 2
+    assert qd[:5] == TRUE_PARTIALS
+    assert qd == cfrac_expand(source, order - 2).partials
+
+
+def test_qd_partials_of_the_closed_form_are_periodic():
+    # the C-fraction that collapse_to_closed_form compares against
+    assert _qd_partials(ramanujan_series(42)) == (F(1, 2),) + (F(3, 4),) * 39

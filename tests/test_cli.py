@@ -232,8 +232,9 @@ def test_cfrac_depth_30_freeze_golden(capsys):
     assert out.encode() == (FIXTURES / "cfrac_depth30_freeze.txt").read_bytes()
 
 
-def test_cfrac_one_partial_is_refused_for_its_depth(capsys):
-    # the one partial is the required 1/2; what is missing is the tail
+def test_cfrac_one_partial_is_refused_at_the_repeated_tail(capsys):
+    # the one partial is the required 1/2, but frozen from a_1 it repeats,
+    # and the closed form's second partial is 3/4
     code, out, err = invoke(capsys, "cfrac", "--depth", "1", "--freeze", "1/2",
                             "--freeze-from", "1")
     assert (code, err) == (0, "")
@@ -244,7 +245,38 @@ def test_cfrac_one_partial_is_refused_for_its_depth(capsys):
         "partial numerators: 1/2\n"
         "frozen from a_1: 1/2 (periodic)\n"
         "tail closed form: (1 + sqrt(1 - 2h))/2\n"
-        "closed form: none (need at least 2 partial numerators, got 1)\n"
+        "closed form: none (partial numerator 2 is 1/2, need 3/4)\n"
+    )
+
+
+DEPTH_6_HEAD = (
+    "source: true inverse series through x^8\n"
+    "leading coefficient: 4\n"
+    "head numerator coefficient: 1\n"
+    "partial numerators: 1/2, 3/4, 3/4, 31/36, 911/1116, 25323/28241\n"
+)
+
+
+def test_cfrac_freeze_from_3_collapses(capsys):
+    # a2 = a3 = 3/4 already, so freezing from a_3 gives the same fraction
+    code, out, err = invoke(capsys, "cfrac", "--depth", "6", "--freeze", "3/4",
+                            "--freeze-from", "3")
+    assert (code, err) == (0, "")
+    assert out == DEPTH_6_HEAD + (
+        "frozen from a_3: 1/2, 3/4, 3/4, 3/4, 3/4, 3/4 (periodic)\n"
+        "tail closed form: (1 + sqrt(1 - 3h))/2\n"
+        "closed form: 4h - 3h^2/(2 + sqrt(1 - 3h))\n"
+    )
+
+
+def test_cfrac_freeze_from_5_keeps_a4_and_is_refused(capsys):
+    code, out, err = invoke(capsys, "cfrac", "--depth", "6", "--freeze", "3/4",
+                            "--freeze-from", "5")
+    assert (code, err) == (0, "")
+    assert out == DEPTH_6_HEAD + (
+        "frozen from a_5: 1/2, 3/4, 3/4, 31/36, 3/4, 3/4 (periodic)\n"
+        "tail closed form: (1 + sqrt(1 - 3h))/2\n"
+        "closed form: none (partial numerator 4 is 31/36, need 3/4)\n"
     )
 
 

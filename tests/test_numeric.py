@@ -100,6 +100,14 @@ def test_series_engine_gives_up_near_degenerate():
         perimeter_series(Ellipse(1.999999, 1e-6))
 
 
+def test_series_engine_may_use_its_last_term():
+    # at lambda = 1 the terms only fall below a tol just above the last
+    # allowed term's coefficient, so the cap is reached and not exceeded
+    tol = math.nextafter(float(ivory_coefficient(SERIES_MAX_TERMS)), math.inf)
+    total = perimeter_series(Ellipse(1.0, 0.0), PrecisionConfig(abs_tol=tol))
+    assert abs(total - 4.0) < 1e-6
+
+
 def test_agm_iteration_cap():
     with pytest.raises(NumericError, match=whole("AGM did not converge in 64 iterations")):
         perimeter_agm(Ellipse(1.3501, 0.6499), PrecisionConfig(abs_tol=1e-16))
