@@ -2,7 +2,8 @@
 
 Starting from the perimeter series L = pi*(a+b) * sum binom(1/2,n)^2 lambda^(2n)
 (Ivory's series, written in x = lambda^2), the pipeline forms the excess
-series h(x) = ivory - 1, reverts it to get the true inverse x(h), expands
+series h(x) = ivory - 1, builds its compositional inverse x(h) (the true
+inverse) from the hypergeometric ODE Ivory's series satisfies, expands
 the closed form 4h - 3h^2/(2 + sqrt(1 - 3h)) as a series, differences the
 two (the error law -h^6/32 - ...), and extracts the continued fraction of
 the true inverse.  :func:`full_report` bundles all of it.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .cfrac import CFraction, cfrac_expand, ramanujan_series
@@ -51,8 +53,46 @@ def h_series(order: int) -> PowerSeries:
 
 
 def true_inverse_series(order: int) -> PowerSeries:
-    """lambda^2 as a series in h: the compositional inverse of the h-series."""
-    return h_series(order).revert()
+    """lambda^2 as a series in h: the compositional inverse of the h-series.
+
+    Ivory's series y(x) = 1 + h is 2F1(-1/2, -1/2; 1; x), so
+    x(1 - x) y'' + y' - y/4 = 0 (Abramowitz & Stegun 15.1.1, 15.5.1).
+    With y' = 1/g' and y'' = -g''/g'^3 for the inverse g(h) = x this is
+    4 g (1 - g) g'' - 4 g'^2 + (1 + h) g'^3 = 0.
+
+    The recurrence runs on integers.  Set X = x/16 and H = h/4; since
+    binom(1/2, n)^2 16^n = 4 Cat(n-1)^2, H(X) = sum_(n>=1) Cat(n-1)^2 X^n
+    has integer coefficients and a unit linear term, so its inverse X(H)
+    has integer coefficients X_k too, and g_k = 16 X_k / 4^k.  In these
+    variables the equation reads X (1 - 16 X) X'' - X'^2 + (1 + 4H) X'^3 = 0,
+    and its H^m coefficient is (m + 1)^2 X_(m+1) plus terms in X_1 .. X_m
+    alone.  Solving it for the integer X_(m+1) is thus an exact integer
+    division.  With running convolutions for X - 16 X^2, X'^2 and X'^3
+    each step costs O(m) integer products, O(n^2) in all, and only the
+    output builds Fractions, one per coefficient.
+    """
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    x = [0, 1]  # X_k
+    d1 = [1]  # X': d1[j] = (j + 1) X_(j+1)
+    d2 = []  # X'': d2[j] = (j + 2) (j + 1) X_(j+2)
+    s = [0]  # X - 16 X^2
+    p = [1]  # X'^2
+    q = [1]  # X'^3
+    for m in range(1, order):
+        # rest is the H^m coefficient less its terms in the unknown X_(m+1):
+        # s[1] d2[m-1] = m (m + 1) X_(m+1) in the first sum, 2 d1[m] in X'^2
+        # and 3 d1[m] in X'^3 (as X'_0 = 1), (m + 1)^2 X_(m+1) in all
+        s.append(x[m] - 16 * sum(map(mul, x[1:m], x[m - 1 : 0 : -1])))
+        p_m = sum(map(mul, d1[1:m], d1[m - 1 : 0 : -1]))
+        q_m = p_m + sum(map(mul, d1[1:m], p[m - 1 : 0 : -1]))
+        rest = sum(map(mul, s[2:], reversed(d2))) - p_m + q_m + 4 * q[m - 1]
+        x.append(-rest // (m + 1) ** 2)
+        d1.append((m + 1) * x[m + 1])
+        d2.append(m * d1[m])
+        p.append(p_m + 2 * d1[m])
+        q.append(q_m + 3 * d1[m])
+    return PowerSeries([0] + [Fraction(16 * c, 4**k) for k, c in enumerate(x[1:], 1)])
 
 
 class DerivationReport(NamedTuple):

@@ -250,6 +250,10 @@ class PowerSeries:
         division and a running power of w yield every coefficient.  Both
         run on integer lists over one denominator each; after every
         product the gcd of the list and its denominator is divided out.
+
+        Nothing in the pipeline calls it: the true inverse comes from its
+        ODE (`derivation.true_inverse_series`).  It stays as the general
+        reversion criterion 6 checks, and as that kernel's test oracle.
         """
         if self._coeffs[0] != 0:
             raise SeriesError("can only revert a series with zero constant term")

@@ -38,7 +38,9 @@ def test_traced_child_prints_what_the_cli_prints(tmp_path, argv):
         names = json.loads(handle.readline())["names"]
     assert "cli.run" in names
     if argv is VERIFY:
-        assert {"derivation.full_report", "derivation.closed_form"} <= set(names)
+        assert {
+            "derivation.full_report", "derivation.true_inverse", "derivation.closed_form"
+        } <= set(names)
     else:
         assert "numeric.sweep" in names
 

@@ -164,3 +164,36 @@ def test_true_inverse_does_not_compose(monkeypatch):
     monkeypatch.setattr(PowerSeries, "compose", refuse)
     true = true_inverse_series(12)
     assert {k: true[k] for k in REFERENCE_SERIES["true"]} == REFERENCE_SERIES["true"]
+
+
+@pytest.mark.parametrize("order", [1, 2, 12, 40, 80, 160])
+def test_true_inverse_matches_reversion(order):
+    # PowerSeries.revert is the oracle; order 160 costs about 2.5 s of it
+    assert true_inverse_series(order) == h_series(order).revert()
+
+
+def test_true_inverse_refuses_order_0():
+    with pytest.raises(ValueError, match=whole("order must be at least 1")):
+        true_inverse_series(0)
+
+
+def test_true_inverse_scaled_coefficients_are_integers():
+    # g_k 4^(k-2) is the k-th coefficient of X(H) with X = x/16, H = h/4,
+    # the inverse of a series with integer coefficients and unit linear term
+    g = true_inverse_series(160)
+    for k in range(2, 161):
+        assert (g[k] * 4 ** (k - 2)).denominator == 1, k
+
+
+@pytest.mark.parametrize("x", ["0.01", "0.05", "0.2"])
+def test_true_inverse_sums_back_to_x(x):
+    # hyp2f1 shares no code with Ivory's recurrence or with the reversion
+    mpmath = pytest.importorskip("mpmath")
+    g = true_inverse_series(160)
+    with mpmath.workdps(100):
+        x = mpmath.mpf(x)
+        h = mpmath.hyp2f1(-0.5, -0.5, 1, x) - 1
+        total = mpmath.fsum(
+            mpmath.mpf(c.numerator) / c.denominator * h**k for k, c in enumerate(g.coeffs)
+        )
+        assert abs(total - x) <= mpmath.mpf("1e-60") * x
