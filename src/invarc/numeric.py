@@ -8,14 +8,13 @@ how the closed form tracks the true inverse.
 The sweep needs care: near lambda = 0 the error true - approx shrinks like
 h^6/32, which at lambda = 0.05 is about 2e-21 while one ulp of lambda^2 is
 already 2e-19.  Float64 cannot see the signal there, so rows with lambda
-at or below :data:`EXACT_SWEEP_CUTOFF` are evaluated exactly in plain
-integers and floated only for output.  A float lambda is an integer over a
-power of two, and so is every perimeter-series coefficient, so h is one
-integer H over one power of two 2^K (adaptively truncated series) and the
-closed form, its error and the normalized error are unreduced integer
-pairs, with sqrt(1 - 3h) floored to a multiple of 2^-(K + 64), which moves
-them by less than 2^-87 relative.  Larger lambda uses the plain float
-engines, whose error is then far below the signal.
+at or below :data:`EXACT_SWEEP_CUTOFF` run one AGM in fixed point on plain
+integers, at P = 6g + 96 bits for lambda^2 near 2^-g, and every printed
+column is correctly rounded: a written bound E on the fixed-point error
+brackets each column, and a row whose bracket straddles a rounding
+boundary is redone at 2P.  Larger lambda uses the plain float AGM, whose
+error there is five orders below the signal but not below the printed
+digits: diff and normalized keep about 4.5 correct digits.
 """
 
 from __future__ import annotations
@@ -73,11 +72,13 @@ class PrecisionConfig(NamedTuple("PrecisionConfig", [("abs_tol", float)])):
 
 DEFAULT_CONFIG = PrecisionConfig()
 
-# Largest lambda handled by the exact-rational sweep path.  Chosen so both
-# paths are comfortably accurate on either side: at 0.35 the float path's
-# noise (~1e-16) is already five orders below the signal |diff| ~ 3e-11,
-# and the exact path still needs only ~20 series terms.
+# Largest lambda handled by the exact sweep path.  At 0.35 the float path's
+# noise (~1e-16) is already five orders below the signal |diff| ~ 3e-11.
 EXACT_SWEEP_CUTOFF = 0.35
+
+# Bits the exact row works at beyond the 6g that diff ~ h^6/32 cancels; at
+# least 31, so that 2P >= s for the first root (s <= g + 105, g >= 4).
+_GUARD_BITS = 96
 
 ERROR_TABLE_COLUMNS = ("lambda", "h", "lambda_sq_true", "lambda_sq_approx", "diff", "normalized")
 
@@ -168,61 +169,115 @@ def ramanujan_lambda_sq(h: float) -> float:
     return 4.0 * h - 3.0 * h * h / (2.0 + math.sqrt(1.0 - 3.0 * h))
 
 
-def _exact_row(lam: float) -> ErrorRow:
-    """One sweep row in exact integer arithmetic.
+def _over(n: int, d: int, k: int) -> float:
+    """n 2^k / d, correctly rounded, for a shift k of either sign."""
+    return (n << k) / d if k >= 0 else n / (d << -k)
 
-    With lambda = m / 2^e, x = lambda^2 is X / 2^s for X = m^2 and s = 2e.
-    Each perimeter-series coefficient is an integer over a power of two, so
-    each term and each partial sum of h is too: h is kept as H / 2^K.
-    Summation stops at the first term at or below (x/4)^6 / 2e8, far below
-    the h^6/32 signal, and sqrt(1 - 3h) is floored to a multiple of
-    2^-(K + 64), which moves diff and normalized by less than 2^-87
-    relative.  The closed form, diff and normalized are unreduced integer
-    pairs, and each column is one correctly rounded int / int division, the
-    same rounding float(Fraction) performs.
+
+def _isqrt_near(S: int, T: int) -> int:
+    """isqrt(S^2 - T) for 0 <= T <= S^2, by one division when T is small.
+
+    The root is S - k for the least k with k (2S - k) >= T.  No k below
+    k0 = ceil(T / 2S) qualifies, and if k0^2 < S then (k0 + 1)^2 <= 2S and
+    k0 + 1 does.  The division is tried only when k0 can be that small.
+    """
+    if 2 * T.bit_length() < 3 * S.bit_length():
+        k = -(-T // (2 * S))
+        if k * k < S:
+            return S - k - (k * (2 * S - k) < T)
+    return math.isqrt(S * S - T)
+
+
+def _fixed_point_h(X: int, s: int, P: int) -> tuple[int, int]:
+    """h for lambda^2 = X / 2^s as an integer H in units u = 2^-P, and a
+    bound E with |H - h/u| <= E.
+
+    For the ellipse (1 + lambda, 1 - lambda) pi cancels and
+    1 + h = (1 - sum_(n>=2) 2^(n-1) c_n^2) / AGM(1, sqrt(1 - x)), with
+    c_n = (a_(n-1) - b_(n-1))/2 from (a_1, b_1) = (1, sqrt(1 - x))
+    (Borwein & Borwein, Pi and the AGM, 1987, ch. 1).  The AGM runs on
+    integers A >= B in units u, each step flooring (A + B)/2 and sqrt(AB),
+    until A = B: there AGM(A, B) = A and the rest of the sum is 0.  That
+    rule ends the loop, because A - B falls strictly while it is positive,
+    to at most (A - B)^2/8B + 1 units, and from 1 to 0.
+
+    After m steps E = 2m + 2.  For x <= 0.35^2, where dh/dx < 0.254, the
+    error is the sum of
+    - under 0.51 from flooring sqrt(1 - x), since |dh/db| = 2b dh/dx;
+    - under 1.11 a step: the two floors lower the AGM of the pair, which
+      is monotone and homogeneous, by at most a factor 1 - u/b, b > 0.936;
+    - under 0.01 in all from the same floors moving the rest of the c-sum;
+    - under 1 from the final division.
+    """
+    one = 1 << P
+    A = one
+    B = math.isqrt(((1 << s) - X) << (2 * P - s))
+    N = one << (P + 1)  # 2 (1 - sum 2^(n-1) c_n^2) in units u^2
+    weight = 1
+    steps = 0
+    while A != B:
+        S, T = A + B, (A - B) ** 2
+        N -= weight * T
+        weight <<= 1
+        A, B = S >> 1, _isqrt_near(S, T) >> 1  # 4AB = S^2 - T
+        steps += 1
+    return N // (2 * A) - one, 2 * steps + 2
+
+
+def _exact_row(lam: float) -> ErrorRow:
+    """One sweep row, every column correctly rounded, from a fixed-point AGM.
+
+    With lambda = m / 2^e, x = lambda^2 is X / 2^s for X = m^2 and s = 2e,
+    and x lies in [2^-g, 2^(1-g)).  _fixed_point_h gives h within E units
+    of u = 2^-P.  The closed form f has 0 < f' <= 4 for these h, and
+    flooring its root to a unit moves it by under h^2 u, so
+    lambda_sq_approx and diff lie within (4E + 1)u of their values at H.
+    As diff < 0, normalized = 32 diff/h^6 lies between its values at the
+    low ends of diff and H -+ E and at the high ends, H cut outwards to 128
+    bits; if the diff interval reaches 0 those two values differ in sign.
+    As |diff| ~ h^6/32 >= 2^-(6g + 17), P = 6g + 96 makes the error about
+    (4E + 1) 2^-79 of |diff|.
+
+    Each column costs one int / int division per end of its interval.  If
+    the two ends round to different floats, the row is redone at 2P (Ziv,
+    1991), which ends unless a true value is itself a rounding boundary.
     """
     m, d = lam.as_integer_ratio()
     s = 2 * (d.bit_length() - 1)
     X = m * m
-    # the stop rule 2*term <= (x/4)^6 / 1e8 for term = t / 2^k, cross-multiplied:
-    # 2e8 * t * 2^(6s + 12) <= X^6 * 2^k
-    X6 = X**6
-    target_shift = 6 * s + 12
-    H = K = 0
-    xpow = 1
-    for n in range(1, SERIES_MAX_TERMS + 1):
-        coefficient = ivory_coefficient(n)
-        xpow *= X
-        t = coefficient.numerator * xpow
-        k = coefficient.denominator.bit_length() - 1 + n * s
-        if (2 * 10**8 * t) << target_shift <= X6 << k:
-            # terms fall by more than a factor x, so the dropped tail is
-            # below term/(1 - x), at most 2*term for x <= 0.1225 = 0.35^2
-            break
-        # k grows with n, so the new term only shifts the sum up
-        H = (H << (k - K)) + t
-        K = k
-    else:
-        raise NumericError("exact series summation exceeded the iteration cap")
-    # sqrt(1 - 3h) >= R / 2^J with error below 2^-J.  Terms fall by at most a
-    # factor x/16, so the last kept term, at least 2^-K, is at most 2e-8 (x/4)^5
-    # <= 2e-8 h^5.  h lies in [2^-g, 2^(1 - g)) for the leading gap
-    # g = K + 1 - H.bit_length(), and g >= 6 as h < 1/32 here, so
-    # K > 5g + 20 >= 4g + 26 and the root moves approx by under 0.35 h^2 2^-J,
-    # less than 12 * 2^(4g - K - 64) < 2^-87 of |diff| >= h^6/32
-    J = K + 64
-    R = math.isqrt(((1 << K) - 3 * H) << (K + 128))
-    D = (2 << J) + R  # 2 + root = D / 2^J
-    approx = H * ((D << (K + 2)) - (3 * H << J))  # over D * 2^(2K)
-    diff = (X * D << 2 * K) - (approx << s)  # over D * 2^(2K + s)
-    return ErrorRow(
-        lam,
-        H / (1 << K),
-        X / (1 << s),
-        approx / (D << 2 * K),
-        diff / (D << (2 * K + s)),
-        (diff << (4 * K + 5 - s)) / (D * H**6),
+    P = 6 * (s + 1 - X.bit_length()) + _GUARD_BITS
+    while (row := _fixed_point_row(lam, X, s, P)) is None:
+        P *= 2
+    return row
+
+
+def _fixed_point_row(lam: float, X: int, s: int, P: int) -> ErrorRow | None:
+    """_exact_row at P bits, or None when a column's rounding is uncertain."""
+    H, E = _fixed_point_h(X, s, P)
+    one = 1 << P
+    root = (2 << P) + math.isqrt((one - 3 * H) << P)  # 2 + sqrt(1 - 3h) in units u
+    approx = H * (4 * root - 3 * H)  # over root 2^P
+    diff = (X * root << P) - (approx << s)  # over root 2^(P + s)
+    e_approx = (4 * E + 1) * root
+    e_diff = e_approx << s
+    # h^6 needs only the leading 128 bits of H -+ E, rounded outwards
+    t = max(0, H.bit_length() - 128)
+    shift = 5 * P + 5 - s - 6 * t
+    low = (
+        (H - E) / one,
+        (approx - e_approx) / (root << P),
+        (diff - e_diff) / (root << (P + s)),
+        _over(diff - e_diff, root * ((H - E) >> t) ** 6, shift),
     )
+    high = (
+        (H + E) / one,
+        (approx + e_approx) / (root << P),
+        (diff + e_diff) / (root << (P + s)),
+        _over(diff + e_diff, root * (((H + E) >> t) + 1) ** 6, shift),
+    )
+    if low != high:
+        return None
+    return ErrorRow(lam, low[0], X / (1 << s), *low[1:])
 
 
 def _float_row(lam: float, tol: float) -> ErrorRow:

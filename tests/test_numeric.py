@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +33,8 @@ from invarc.numeric import (
 )
 
 from series_helpers import whole
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def arc_length_quadrature(a, b):
@@ -162,9 +165,10 @@ def test_sweep_row_at_zero():
 
 
 def test_sweep_normalized_pins():
+    # the exact-path pins are mpmath's correctly rounded values
     rows = error_sweep([0.05, 0.2, 0.9])
-    assert rows[0].normalized == pytest.approx(-1.004310258203722, abs=1e-12)
-    assert rows[1].normalized == pytest.approx(-1.072322889326707, abs=1e-12)
+    assert rows[0].normalized == -1.0043102599660527
+    assert rows[1].normalized == -1.0723229960222749
     assert rows[2].normalized == pytest.approx(-9.494997033534705, rel=1e-9)
 
 
@@ -346,23 +350,142 @@ WHOLE_RANGE_LAMBDAS = sorted(
 )
 
 
-def test_exact_sweep_path_matches_mpmath_over_its_whole_range():
-    # The oracle of test_sweep_matches_mpmath_oracle at digits set from
-    # lambda: h ~ lambda^2/4 cancels 2|log10 lambda| digits in the "- 1"
-    # and diff ~ -h^6/32 another 10|log10 lambda| against lambda^2.
+def _mpmath_row(lam: float) -> ErrorRow:
+    """The sweep row from mpmath, each column correctly rounded.
+
+    The oracle of test_sweep_matches_mpmath_oracle at digits set from
+    lambda: h ~ lambda^2/4 cancels 2|log10 lambda| digits in the "- 1" and
+    diff ~ -h^6/32 another 10|log10 lambda| against lambda^2.  Each value
+    is rounded once, through its exact binary fraction; float() on an mpf
+    rounds a subnormal twice.
+    """
     mpmath = pytest.importorskip("mpmath")
+
+    def rounded(value):
+        sign, man, exp, _ = value._mpf_
+        man = -man if sign else man
+        return float(man << exp) if exp >= 0 else man / (1 << -exp)
+
+    with mpmath.workdps(int(60 - 12 * math.log10(lam))):
+        x = mpmath.mpf(lam) ** 2
+        a, b = 1 + mpmath.mpf(lam), 1 - mpmath.mpf(lam)
+        h = 4 * a * mpmath.ellipe(1 - (b / a) ** 2) / (mpmath.pi * (a + b)) - 1
+        approx = 4 * h - 3 * h**2 / (2 + mpmath.sqrt(1 - 3 * h))
+        diff = x - approx
+        return ErrorRow(lam, *map(rounded, (h, x, approx, diff, 32 * diff / h**6)))
+
+
+def _same_row(got: ErrorRow, want: ErrorRow) -> bool:
+    """Equal float for float, with the sign of zero."""
+    return got == want and [math.copysign(1, v) for v in got] == [
+        math.copysign(1, v) for v in want
+    ]
+
+
+def test_exact_sweep_path_matches_mpmath_over_its_whole_range():
     for row in error_sweep(WHOLE_RANGE_LAMBDAS):
-        with mpmath.workdps(int(60 - 12 * math.log10(row.lam))):
-            lam = mpmath.mpf(row.lam)
-            a, b = 1 + lam, 1 - lam
-            h = 4 * a * mpmath.ellipe(1 - (b / a) ** 2) / (mpmath.pi * (a + b)) - 1
-            approx = 4 * h - 3 * h**2 / (2 + mpmath.sqrt(1 - 3 * h))
-            diff = lam**2 - approx
-            normalized = 32 * diff / h**6
-        assert abs(row.h - float(h)) <= math.ulp(float(h)), row
-        assert abs(row.lambda_sq_approx - float(approx)) <= math.ulp(float(approx)), row
-        assert row.diff == pytest.approx(float(diff), rel=1e-5, abs=0), row
-        assert row.normalized == pytest.approx(float(normalized), rel=1e-5, abs=0), row
+        assert _same_row(row, _mpmath_row(row.lam)), row
+
+
+@given(st.floats(min_value=1e-30, max_value=EXACT_SWEEP_CUTOFF))
+@settings(max_examples=200, deadline=None)
+def test_exact_row_is_correctly_rounded(lam):
+    assert _same_row(error_sweep([lam])[0], _mpmath_row(lam))
+
+
+@pytest.mark.parametrize("fixture", ["error_table_exact.tsv", "error_table_float.tsv"])
+def test_exact_path_fixture_rows_are_mpmath_values(fixture):
+    # the exact-path bytes of the golden tables come from mpmath, not from
+    # the row under test; %.17g round-trips each float
+    checked = 0
+    for line in (FIXTURES / fixture).read_text().splitlines()[1:]:
+        row = ErrorRow(*map(float, line.split("\t")))
+        if 0 < row.lam <= EXACT_SWEEP_CUTOFF:
+            assert _same_row(row, _mpmath_row(row.lam)), line
+            checked += 1
+    assert checked == {"error_table_exact.tsv": 350, "error_table_float.tsv": 1}[fixture]
+
+
+@given(st.integers(min_value=1, max_value=2**300), st.data())
+@settings(max_examples=300)
+def test_isqrt_near_is_the_floor_root(S, data):
+    # T = 2Sk - j with j < k^2 is where ceil(T / 2S) = k falls one short;
+    # k up to sqrt(S) + 1 reaches the edge of the one-division case
+    k = data.draw(st.integers(min_value=1, max_value=math.isqrt(S) + 1))
+    j = data.draw(st.integers(min_value=0, max_value=k * k))
+    for T in (min(S * S, max(0, 2 * S * k - j)), data.draw(st.integers(0, S * S))):
+        assert numeric._isqrt_near(S, T) == math.isqrt(S * S - T), (S, T)
+
+
+def _oracle_fixed_point_h(X: int, s: int, P: int) -> tuple[int, int]:
+    """_fixed_point_h with a full integer root at every AGM step."""
+    A = 1 << P
+    B = math.isqrt(((1 << s) - X) << (2 * P - s))
+    N = A << (P + 1)
+    weight = 1
+    steps = 0
+    while A != B:
+        N -= weight * (A - B) ** 2
+        weight <<= 1
+        A, B = (A + B) >> 1, math.isqrt(A * B)
+        steps += 1
+    return N // (2 * A) - (1 << P), 2 * steps + 2
+
+
+@given(st.floats(min_value=0, max_value=EXACT_SWEEP_CUTOFF, exclude_min=True, allow_subnormal=True))
+@example(5e-324)
+@example(EXACT_SWEEP_CUTOFF)
+@settings(max_examples=150, deadline=None)
+def test_fixed_point_h_matches_the_plain_agm(lam):
+    # the steps that replace the root by one division floor sqrt(AB) exactly
+    m, d = lam.as_integer_ratio()
+    s = 2 * (d.bit_length() - 1)
+    X = m * m
+    g = s + 1 - X.bit_length()
+    for P in (6 * g + 32, 6 * g + 96, 12 * g + 192):
+        assert numeric._fixed_point_h(X, s, P) == _oracle_fixed_point_h(X, s, P)
+
+
+def test_fixed_point_h_stays_within_its_bound():
+    # the written bound E on the AGM's h, at the row's precision and at
+    # the low ones a retry starts from, against mpmath (the errors seen are
+    # about 3 units, E is 12 to 14)
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(16)
+    for lam in [10 ** rng.uniform(-12, math.log10(0.35)) for _ in range(30)] + [0.35, 2.0**-7]:
+        m, d = lam.as_integer_ratio()
+        s = 2 * (d.bit_length() - 1)
+        X = m * m
+        g = s + 1 - X.bit_length()
+        for P in (6 * g + 32, 6 * g + 96, 12 * g + 64):
+            H, E = numeric._fixed_point_h(X, s, P)
+            with mpmath.workdps(P // 3 + 40):
+                lam_mp = mpmath.mpf(lam)
+                a, b = 1 + lam_mp, 1 - lam_mp
+                h = 4 * a * mpmath.ellipe(1 - (b / a) ** 2) / (mpmath.pi * (a + b)) - 1
+                assert abs(H - h * mpmath.mpf(2) ** P) <= E, (lam, P)
+
+
+def test_exact_row_retries_at_twice_the_precision(monkeypatch):
+    # with 32 guard bits no first pass can round normalized, so every row
+    # is redone at 2P and must come out as the 96-bit pass gives it (32 bits
+    # still keep 2P >= s, which the first root needs)
+    lams = (5e-324, 1e-150, 1e-3, 2.0**-7, 0.2, EXACT_SWEEP_CUTOFF)
+    want = error_sweep(lams)
+    precisions = {}
+    fixed_point_row = numeric._fixed_point_row
+
+    def recording(lam, X, s, P):
+        precisions.setdefault(lam, []).append(P)
+        return fixed_point_row(lam, X, s, P)
+
+    monkeypatch.setattr(numeric, "_fixed_point_row", recording)
+    monkeypatch.setattr(numeric, "_GUARD_BITS", 32)
+    got = error_sweep(lams)
+    assert all(_same_row(g, w) for g, w in zip(got, want))
+    for lam in lams:
+        tried = precisions[lam]
+        assert len(tried) > 1 and tried == [tried[0] << i for i in range(len(tried))], lam
 
 
 def test_abs_tol_ceiling():
@@ -380,11 +503,8 @@ def _oracle_exact_sqrt_floor(value: Fraction, bits: int) -> Fraction:
 
 
 def _oracle_exact_row(lam: float) -> ErrorRow:
-    """The exact sweep row as it was first written, in Fraction arithmetic.
-
-    The package's integer row must return the same ErrorRow, float for
-    float, and raise the same NumericError at the term cap.
-    """
+    """The exact sweep row as it was first written, in Fraction arithmetic:
+    the oracle of _oracle_series_row, its integer form."""
     lam_exact = Fraction(lam)
     x = lam_exact * lam_exact
     target = (x / 4) ** 6 / 10**8
@@ -408,13 +528,50 @@ def _oracle_exact_row(lam: float) -> ErrorRow:
     return ErrorRow(lam, float(h), float(x), float(approx), float(diff), float(normalized))
 
 
+def _oracle_series_row(lam: float) -> ErrorRow:
+    """The exact sweep row before the fixed-point AGM: Ivory's series summed
+    in integers and truncated at (x/4)^6 / 2e8, which limits diff and
+    normalized to about 1e-5 relative (h and lambda_sq_approx are within an
+    ulp).  It returns _oracle_exact_row's ErrorRow float for float."""
+    m, d = lam.as_integer_ratio()
+    s = 2 * (d.bit_length() - 1)
+    X = m * m
+    X6 = X**6
+    target_shift = 6 * s + 12
+    H = K = 0
+    xpow = 1
+    for n in range(1, numeric.SERIES_MAX_TERMS + 1):
+        coefficient = ivory_coefficient(n)
+        xpow *= X
+        t = coefficient.numerator * xpow
+        k = coefficient.denominator.bit_length() - 1 + n * s
+        if (2 * 10**8 * t) << target_shift <= X6 << k:
+            break
+        H = (H << (k - K)) + t
+        K = k
+    else:
+        raise NumericError("exact series summation exceeded the iteration cap")
+    J = K + 64
+    R = math.isqrt(((1 << K) - 3 * H) << (K + 128))
+    D = (2 << J) + R
+    approx = H * ((D << (K + 2)) - (3 * H << J))
+    diff = (X * D << 2 * K) - (approx << s)
+    return ErrorRow(
+        lam,
+        H / (1 << K),
+        X / (1 << s),
+        approx / (D << 2 * K),
+        diff / (D << (2 * K + s)),
+        (diff << (4 * K + 5 - s)) / (D * H**6),
+    )
+
+
 @given(st.floats(min_value=0, max_value=EXACT_SWEEP_CUTOFF, exclude_min=True, allow_subnormal=True))
 @example(EXACT_SWEEP_CUTOFF)
 @example(math.nextafter(EXACT_SWEEP_CUTOFF, 0))
 @example(5e-324)
 @example(2.5e-310)
 @example(1e-150)
-# powers of two near 2^-7 leave the least room between K and 4 * lead_gap
 @example(2.0**-2)
 @example(2.0**-5)
 @example(2.0**-7)
@@ -422,21 +579,17 @@ def _oracle_exact_row(lam: float) -> ErrorRow:
 @example(2.0**-12)
 @settings(max_examples=150, deadline=None)
 def test_exact_row_matches_the_fraction_oracle(lam):
+    # the series row equals the Fraction row it replaced, and the AGM row
+    # matches both to the series row's accuracy
+    old = _oracle_series_row(lam)
+    assert _same_row(old, _oracle_exact_row(lam))
     got = error_sweep([lam])[0]
-    want = _oracle_exact_row(lam)
-    assert got == want
-    # == takes -0.0 for 0.0; the printed table does not
-    assert [math.copysign(1, v) for v in got] == [math.copysign(1, v) for v in want]
-
-
-def test_exact_row_term_cap_matches_the_fraction_oracle(monkeypatch):
-    # no lambda on the exact path reaches the cap, so lower it
-    monkeypatch.setattr(numeric, "SERIES_MAX_TERMS", 3)
-    message = whole("exact series summation exceeded the iteration cap")
-    with pytest.raises(NumericError, match=message):
-        error_sweep([0.3])
-    with pytest.raises(NumericError, match=message):
-        _oracle_exact_row(0.3)
+    assert (got.lam, got.lambda_sq_true) == (old.lam, old.lambda_sq_true)
+    for column in ("h", "lambda_sq_approx"):
+        assert abs(getattr(got, column) - getattr(old, column)) <= 2 * math.ulp(getattr(old, column))
+    for column in ("diff", "normalized"):
+        assert getattr(got, column) == pytest.approx(getattr(old, column), rel=1e-5, abs=0)
+    assert [math.copysign(1, v) for v in got] == [math.copysign(1, v) for v in old]
 
 
 def _oracle_float_row(lam: float, cfg: PrecisionConfig) -> ErrorRow:
