@@ -42,9 +42,6 @@ from .numeric import (
     PrecisionConfig,
     error_sweep,
     invert_from_measurements,
-    lambda_of,
-    measured_excess,
-    to_unit_sum,
 )
 from .reference import CFRAC_PARTIALS, REFERENCE_SERIES
 from .series import SeriesError
@@ -251,16 +248,12 @@ def _cmd_error_table(args) -> tuple[str, int]:
 
 
 def _cmd_invert(args) -> tuple[str, int]:
-    ellipse = invert_from_measurements(args.perimeter, args.axis_sum)
-    # the shape depends only on perimeter/sum; read it off the ellipse at unit
-    # scale, whose semiaxes a subnormal sum cannot round away
-    unit = invert_from_measurements(*to_unit_sum(args.perimeter, args.axis_sum))
-    h = measured_excess(args.perimeter, args.axis_sum)
+    inversion = invert_from_measurements(args.perimeter, args.axis_sum)
     lines = [
-        f"a: {ellipse.a:.17g}",
-        f"b: {ellipse.b:.17g}",
-        f"lambda: {lambda_of(unit):.17g}",
-        f"h: {h:.17g}",
+        f"a: {inversion.a:.17g}",
+        f"b: {inversion.b:.17g}",
+        f"lambda: {inversion.lam:.17g}",
+        f"h: {inversion.h:.17g}",
     ]
     return "\n".join(lines) + "\n", 0
 

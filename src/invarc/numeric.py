@@ -313,46 +313,18 @@ def error_sweep(lambda_grid, cfg: PrecisionConfig = DEFAULT_CONFIG) -> list[Erro
     return rows
 
 
-def to_unit_sum(perimeter: float, axis_sum: float) -> tuple[float, float]:
-    """Perimeter and axis sum times the one power of two that puts the sum in
-    [0.5, 1).
-
-    h, lambda and the feasibility bounds depend only on the ratio of the two.
-    At this scale pi*sum and the semiaxes are normal floats even when the sum
-    is subnormal, where computing them directly would round most of their
-    digits away.  The scaling is exact for a perimeter of at most 4*sum; one
-    beyond the float range at the new scale becomes an infinity.
-    """
-    mantissa, exponent = math.frexp(axis_sum)
-    try:
-        return math.ldexp(perimeter, -exponent), mantissa
-    except OverflowError:
-        return math.copysign(math.inf, perimeter), mantissa
-
-
-def measured_excess(perimeter: float, axis_sum: float) -> float:
-    """h = L/(pi*s) - 1 for a finite perimeter L and a finite positive axis
-    sum s, floored at 0."""
-    if not (math.isfinite(perimeter) and math.isfinite(axis_sum)):
-        raise NumericError(f"perimeter and axis sum must be finite, got {perimeter} and {axis_sum}")
-    if not (axis_sum > 0):
-        raise NumericError(f"axis sum must be positive, got {axis_sum}")
-    perimeter, axis_sum = to_unit_sum(perimeter, axis_sum)
-    return max(0.0, perimeter / (math.pi * axis_sum) - 1.0)
-
-
-def _circle_bound(axis_sum: float) -> str:
-    """pi*sum as the circle-bound refusal prints it.
+def _circle_bound(mantissa: float, exponent: int) -> str:
+    """pi*sum, for sum = mantissa * 2^exponent, as the circle-bound refusal
+    prints it.
 
     Where pi*sum is subnormal its float keeps only a few binary digits and
     can print as the very perimeter it refuses, and where it overflows it
     prints as inf; there the unit-scale bound is rescaled exactly (p/2^k is
     p*5^k/10^k, p*2^k an integer) and shown to 17 significant digits.
     """
-    bound = math.pi * axis_sum
+    bound = math.pi * math.ldexp(mantissa, exponent)
     if sys.float_info.min <= bound < math.inf:
         return f"{bound}"
-    mantissa, exponent = math.frexp(axis_sum)
     numerator, denominator = (math.pi * mantissa).as_integer_ratio()
     shift = denominator.bit_length() - 1 - exponent
     if shift < 0:
@@ -362,25 +334,49 @@ def _circle_bound(axis_sum: float) -> str:
     return f"{exact:.17g}"
 
 
-def invert_from_measurements(perimeter: float, axis_sum: float) -> Ellipse:
-    """Recover semiaxes from a perimeter L and the sum s = a + b.
+class Inversion(NamedTuple):
+    """What `invert` prints, in print order: the semiaxes, the shape
+    parameter and the excess h.  The third field is `lam` because `lambda`
+    is a Python keyword."""
+
+    a: float
+    b: float
+    lam: float
+    h: float
+
+
+def invert_from_measurements(perimeter: float, axis_sum: float) -> Inversion:
+    """Recover the ellipse from a perimeter L and the sum s = a + b.
 
     Feasible measurements satisfy pi*s <= L <= 4*s (circle up to the
-    degenerate segment).  h = L/(pi*s) - 1 feeds the closed form; at the
-    extreme degenerate end the closed form overshoots lambda^2 = 1 by about
-    5.8e-4, so lambda is clamped to 1 there to keep b >= 0.
+    degenerate segment).  Only a and b depend on s itself, so L and s are
+    scaled once by the power of two that puts s in [0.5, 1), exactly for any
+    L up to 4*s: there pi*s and the semiaxes stay normal floats even for a
+    subnormal s.  h = L/(pi*s) - 1, floored at 0, feeds the closed form,
+    whose overshoot of lambda^2 = 1 by about 5.8e-4 at the degenerate end is
+    clamped to keep b >= 0.  lambda is (a - b)/(a + b) of the unit-scale
+    semiaxes; a and b are returned at the real scale.
     """
-    h = measured_excess(perimeter, axis_sum)
-    # 4*s never rounds (an overflow to inf still compares right); pi*s is
-    # compared at unit scale, where it cannot be subnormal
+    if not (math.isfinite(perimeter) and math.isfinite(axis_sum)):
+        raise NumericError(f"perimeter and axis sum must be finite, got {perimeter} and {axis_sum}")
+    if not (axis_sum > 0):
+        raise NumericError(f"axis sum must be positive, got {axis_sum}")
+    # 4*s never rounds (an overflow to inf still compares right)
     if perimeter > 4.0 * axis_sum:
         raise NumericError(
             f"perimeter {perimeter} above the degenerate bound 4*sum = {4.0 * axis_sum}"
         )
-    unit_perimeter, unit_sum = to_unit_sum(perimeter, axis_sum)
-    if unit_perimeter < math.pi * unit_sum:
+    mantissa, exponent = math.frexp(axis_sum)
+    try:
+        unit_perimeter = math.ldexp(perimeter, -exponent)
+    except OverflowError:  # only a huge negative perimeter at a tiny sum
+        unit_perimeter = -math.inf
+    if unit_perimeter < math.pi * mantissa:
         raise NumericError(
-            f"perimeter {perimeter} below the circle bound pi*sum = {_circle_bound(axis_sum)}"
+            f"perimeter {perimeter} below the circle bound pi*sum = "
+            f"{_circle_bound(mantissa, exponent)}"
         )
+    h = max(0.0, unit_perimeter / (math.pi * mantissa) - 1.0)
     lam = min(1.0, math.sqrt(ramanujan_lambda_sq(h)))
-    return Ellipse(axis_sum * (1.0 + lam) / 2.0, axis_sum * (1.0 - lam) / 2.0)
+    unit = Ellipse(mantissa * (1.0 + lam) / 2.0, mantissa * (1.0 - lam) / 2.0)
+    return Inversion(axis_sum * (1.0 + lam) / 2.0, axis_sum * (1.0 - lam) / 2.0, lambda_of(unit), h)

@@ -1,5 +1,5 @@
-"""Series builders and a message matcher the tests share, and the kernels
-the package replaced.
+"""Series builders, a message matcher and the invert measurement strategy
+the tests share, and the kernels the package replaced.
 
 The builders (`polynomial`, `scale`, `tail_series`) were once methods of
 `PowerSeries` and of the former `TailClosedForm` record; no code under src/
@@ -8,10 +8,16 @@ The oracles are the Fraction algorithms that the integer kernels replaced;
 the kernels must match them, exceptions and messages included.
 """
 
+import math
 import re
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from invarc.series import PowerSeries, SeriesError
+
+# every finite float, subnormals included
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def whole(message):
@@ -96,3 +102,16 @@ def ramanujan_by_sqrt(order):
     den = PowerSeries.monomial(2, 0, order) + root
     num = PowerSeries.monomial(3, 2, order)
     return PowerSeries.monomial(4, 1, order) - divide_by_fractions(num, den)
+
+
+@st.composite
+def measurements(draw):
+    """(perimeter, sum) from the whole finite range, or a sum with a binary
+    exponent from the whole range, subnormal ones weighted up, and a
+    perimeter near the feasible [pi, 4] multiple of it."""
+    if draw(st.booleans()):
+        return draw(FINITE), draw(FINITE)
+    exponent = draw(st.one_of(st.integers(-1074, -1020), st.integers(-1074, 1024)))
+    axis_sum = math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), exponent)
+    perimeter = axis_sum * draw(st.floats(min_value=3.0, max_value=4.2))
+    return (perimeter if math.isfinite(perimeter) else axis_sum), axis_sum

@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invarc import cli
+from invarc import cli, numeric
 from invarc.cli import run
 from invarc.numeric import ErrorRow
 from invarc.reference import CFRAC_PARTIALS, REFERENCE_SERIES
+
+from series_helpers import FINITE, measurements
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -316,12 +318,23 @@ def test_error_table_default_grid(capsys):
         ("error_table_float.tsv", "0.35", "0.99", "320"),
     ],
 )
-def test_error_table_golden(capsys, fixture, lo, hi, steps):
+def test_error_table_golden(capsys, monkeypatch, fixture, lo, hi, steps):
+    # each exact-path row is computed once: none needs a Ziv retry
+    tried = []
+    fixed_point_row = numeric._fixed_point_row
+
+    def recording(lam, X, s, P):
+        tried.append(lam)
+        return fixed_point_row(lam, X, s, P)
+
+    monkeypatch.setattr(numeric, "_fixed_point_row", recording)
     code, out, err = invoke(
         capsys, "error-table", "--lambda-min", lo, "--lambda-max", hi, "--steps", steps
     )
     assert (code, err) == (0, "")
     assert out.encode() == (FIXTURES / fixture).read_bytes()
+    lams = [float(line.split("\t", 1)[0]) for line in out.splitlines()[1:]]
+    assert tried == [lam for lam in lams if 0 < lam <= numeric.EXACT_SWEEP_CUTOFF]
 
 
 def test_error_table_is_deterministic(capsys):
@@ -539,9 +552,9 @@ def test_runtime_imports_only_the_standard_library():
     assert [m for m in loaded if m in ("dataclasses", "inspect")] == []
 
 
-# Extreme finite values for every float flag, subnormals included; integer
-# flags stay small so that no case builds a huge grid or a deep expansion.
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Extreme finite values for every float flag (FINITE), subnormals included;
+# integer flags stay small so that no case builds a huge grid or a deep
+# expansion.
 UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 ABS_TOL = st.one_of(FINITE, st.floats(min_value=0.0, max_value=1e-8))
 
@@ -585,19 +598,6 @@ def test_extreme_cfrac_and_order_flags(depth, freeze, freeze_from, order):
     invoke_extreme(["verify-series", "--order", str(order)])
 
 
-@st.composite
-def measurements(draw):
-    """(perimeter, sum) from the whole finite range, or a sum with a binary
-    exponent from the whole range, subnormal ones weighted up, and a
-    perimeter near the feasible [pi, 4] multiple of it."""
-    if draw(st.booleans()):
-        return draw(FINITE), draw(FINITE)
-    exponent = draw(st.one_of(st.integers(-1074, -1020), st.integers(-1074, 1024)))
-    axis_sum = math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), exponent)
-    perimeter = axis_sum * draw(st.floats(min_value=3.0, max_value=4.2))
-    return (perimeter if math.isfinite(perimeter) else axis_sum), axis_sum
-
-
 @given(measurements())
 @settings(max_examples=300, deadline=None)
 def test_extreme_invert_flags_match_mpmath(pair):
@@ -623,3 +623,9 @@ def test_extreme_invert_flags_match_mpmath(pair):
         low = closed_form_lambda(h - 4 * ulp) - 8 * ulp
         high = closed_form_lambda(h + 4 * ulp) + 8 * ulp
         assert low <= printed["lambda"] <= high, (pair, out)
+        # a and b are s(1 +- lambda)/2 over the same band, within a unit in
+        # their last place (math.ulp gives the subnormal unit there)
+        s = mpmath.mpf(axis_sum)
+        for key, least, most in (("a", 1 + low, 1 + high), ("b", 1 - high, 1 - low)):
+            slack = math.ulp(printed[key])
+            assert s * least / 2 - slack <= printed[key] <= s * most / 2 + slack, (pair, out)

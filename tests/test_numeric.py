@@ -19,6 +19,7 @@ from invarc.numeric import (
     EXACT_SWEEP_CUTOFF,
     Ellipse,
     ErrorRow,
+    Inversion,
     NumericError,
     PrecisionConfig,
     SERIES_MAX_TERMS,
@@ -26,13 +27,12 @@ from invarc.numeric import (
     h_of,
     invert_from_measurements,
     lambda_of,
-    measured_excess,
     perimeter_agm,
     perimeter_series,
     ramanujan_lambda_sq,
 )
 
-from series_helpers import whole
+from series_helpers import measurements, whole
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -223,7 +223,7 @@ def test_invert_matches_root_finding():
     f = lambda lam: perimeter_agm(Ellipse(1.0 + lam, 1.0 - lam)) - L
     lam_exact = brentq(f, 0.0, 0.999999, xtol=1e-13)
     got = invert_from_measurements(L, 2.0)
-    assert lambda_of(got) == pytest.approx(lam_exact, abs=1e-7)
+    assert got.lam == pytest.approx(lam_exact, abs=1e-7)
 
 
 def test_invert_circle():
@@ -262,7 +262,9 @@ def test_invert_depends_only_on_the_ratio():
         match=whole("perimeter 1.5e-323 below the circle bound pi*sum = 1.5521530033659567e-323"),
     ):
         invert_from_measurements(3 * unit, unit)
-    assert measured_excess(71 * unit, 20 * unit) == measured_excess(71.0, 20.0)
+    tiny = invert_from_measurements(71 * unit, 20 * unit)
+    plain = invert_from_measurements(71.0, 20.0)
+    assert (tiny.lam, tiny.h) == (plain.lam, plain.h)
     # a huge negative perimeter is below the circle bound, not an overflow
     with pytest.raises(
         NumericError,
@@ -310,9 +312,76 @@ def test_non_finite_inputs_are_rejected():
         ramanujan_lambda_sq(math.nan)
     for perimeter, axis_sum in [(math.nan, 1.0), (1.0, math.nan), (1.0, math.inf)]:
         with pytest.raises(NumericError, match=whole(f"{finite}{perimeter} and {axis_sum}")):
-            measured_excess(perimeter, axis_sum)
+            invert_from_measurements(perimeter, axis_sum)
     with pytest.raises(NumericError, match=whole("axis sum must be positive, got 0.0")):
-        measured_excess(1.0, 0.0)
+        invert_from_measurements(1.0, 0.0)
+
+
+def _oracle_to_unit_sum(perimeter: float, axis_sum: float) -> tuple[float, float]:
+    """Perimeter and axis sum times the power of two that puts the sum in
+    [0.5, 1); a perimeter beyond the float range there becomes an infinity."""
+    mantissa, exponent = math.frexp(axis_sum)
+    try:
+        return math.ldexp(perimeter, -exponent), mantissa
+    except OverflowError:
+        return math.copysign(math.inf, perimeter), mantissa
+
+
+def _oracle_measured_excess(perimeter: float, axis_sum: float) -> float:
+    """h = L/(pi*s) - 1 for a finite L and a finite positive s, floored at 0."""
+    if not (math.isfinite(perimeter) and math.isfinite(axis_sum)):
+        raise NumericError(f"perimeter and axis sum must be finite, got {perimeter} and {axis_sum}")
+    if not (axis_sum > 0):
+        raise NumericError(f"axis sum must be positive, got {axis_sum}")
+    perimeter, axis_sum = _oracle_to_unit_sum(perimeter, axis_sum)
+    return max(0.0, perimeter / (math.pi * axis_sum) - 1.0)
+
+
+def _oracle_ellipse(perimeter: float, axis_sum: float) -> Ellipse:
+    """The semiaxes as invert_from_measurements gave them before it
+    returned lambda and h too."""
+    h = _oracle_measured_excess(perimeter, axis_sum)
+    if perimeter > 4.0 * axis_sum:
+        raise NumericError(
+            f"perimeter {perimeter} above the degenerate bound 4*sum = {4.0 * axis_sum}"
+        )
+    unit_perimeter, unit_sum = _oracle_to_unit_sum(perimeter, axis_sum)
+    if unit_perimeter < math.pi * unit_sum:
+        bound = numeric._circle_bound(*math.frexp(axis_sum))
+        raise NumericError(f"perimeter {perimeter} below the circle bound pi*sum = {bound}")
+    lam = min(1.0, math.sqrt(ramanujan_lambda_sq(h)))
+    return Ellipse(axis_sum * (1.0 + lam) / 2.0, axis_sum * (1.0 - lam) / 2.0)
+
+
+def _oracle_invert(perimeter: float, axis_sum: float) -> Inversion:
+    """What `invert` printed when it inverted twice and took h a third time:
+    the ellipse, lambda off the same inversion of the unit-scale pair, and
+    h.  invert_from_measurements must return it float for float, or raise
+    the same error with the same message."""
+    ellipse = _oracle_ellipse(perimeter, axis_sum)
+    unit = _oracle_ellipse(*_oracle_to_unit_sum(perimeter, axis_sum))
+    return Inversion(*ellipse, lambda_of(unit), _oracle_measured_excess(perimeter, axis_sum))
+
+
+def _inversion_or_error(compute, perimeter, axis_sum):
+    try:
+        got = compute(perimeter, axis_sum)
+    except NumericError as exc:
+        return type(exc), str(exc)
+    return got, [math.copysign(1, v) for v in got]
+
+
+@given(measurements())
+@example((1.5e-323, 5e-324))
+@example((1.0, 1e308))
+@example((-8.98846567431158e307, 0.25))
+@example((math.pi * 3, 3.0))
+@example((3.141592653589793, 1.0))
+@example((4.0, 1.0))
+@settings(max_examples=500, deadline=None)
+def test_invert_matches_the_three_call_oracle(pair):
+    want = _inversion_or_error(_oracle_invert, *pair)
+    assert _inversion_or_error(invert_from_measurements, *pair) == want
 
 
 # both sides of the exact/float hand-over at EXACT_SWEEP_CUTOFF = 0.35,
