@@ -61,7 +61,13 @@ def tail_closed_form(c: Fraction) -> str:
     if slope == 0:
         radicand = "1"
     else:
-        term = "h" if abs(slope) == 1 else f"{abs(slope)}h"
+        size = abs(slope)
+        if size == 1:
+            term = "h"
+        elif size.denominator == 1:
+            term = f"{size}h"
+        else:  # (3/2)h, not 3/2h, which reads as 3/(2h)
+            term = f"({size})h"
         radicand = f"1 - {term}" if slope > 0 else f"1 + {term}"
     return f"(1 + sqrt({radicand}))/2"
 
@@ -161,14 +167,17 @@ def cfrac_to_series(cf: CFraction, order: int) -> PowerSeries:
     For a plain fraction the certified range is order <= depth + 2.  A
     frozen fraction has a conceptually infinite periodic tail, so extra
     partials are materialized on demand and any order is certified.
+
+    The tail is kept as one quotient num/den: a partial a turns it into
+    1 - a*h*den/num = (num - a*h*den)/num, so one division ends the loop.
     """
     if order < 1:
         raise ValueError("order must be positive")
     work = _materialized_partials(cf, max(0, order - 2))
-    tail = PowerSeries.one(order)
+    num = den = PowerSeries.one(order)
     for a in reversed(work):
-        tail = PowerSeries.one(order) - PowerSeries.monomial(a, 1, order).divide(tail)
-    head_term = PowerSeries.monomial(cf.head, 2, order).divide(tail)
+        num, den = num - PowerSeries.monomial(a, 1, order) * den, num
+    head_term = (PowerSeries.monomial(cf.head, 2, order) * den).divide(num)
     return PowerSeries.monomial(cf.leading, 1, order) - head_term
 
 

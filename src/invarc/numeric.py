@@ -378,5 +378,6 @@ def invert_from_measurements(perimeter: float, axis_sum: float) -> Inversion:
         )
     h = max(0.0, unit_perimeter / (math.pi * mantissa) - 1.0)
     lam = min(1.0, math.sqrt(ramanujan_lambda_sq(h)))
-    unit = Ellipse(mantissa * (1.0 + lam) / 2.0, mantissa * (1.0 - lam) / 2.0)
-    return Inversion(axis_sum * (1.0 + lam) / 2.0, axis_sum * (1.0 - lam) / 2.0, lambda_of(unit), h)
+    ua, ub = mantissa * (1.0 + lam) / 2.0, mantissa * (1.0 - lam) / 2.0
+    a, b = axis_sum * (1.0 + lam) / 2.0, axis_sum * (1.0 - lam) / 2.0
+    return Inversion(a, b, (ua - ub) / (ua + ub), h)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Sequence, Union
 
 Coefficient = Union[Fraction, int, str]
@@ -34,46 +33,6 @@ def _scaled(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers over the common denominator d: coeffs[i] == ints[i] / d."""
     d = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-
-def _int_product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """Coefficients 0..n of the product of two integer series."""
-    out = [0] * (n + 1)
-    for i in range(n + 1):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(n + 1 - i):
-            out[i + j] += ai * b[j]
-    return out
-
-
-def _int_quotient(num: Sequence[int], den: Sequence[int], n: int) -> tuple[list[int], int]:
-    """Fraction-free long division: num/den == q/scale through x^n.
-
-    Needs den[0] != 0.  Every quotient coefficient stays over the one
-    positive integer scale, which is multiplied by |lead|/gcd(t, lead)
-    only at a step whose remainder t the leading coefficient does not
-    divide.
-    """
-    lead = den[0]
-    q: list[int] = []
-    scale = 1
-    for k in range(n + 1):
-        t = scale * num[k] - sum(map(mul, q, den[k:0:-1]))
-        m = abs(lead) // math.gcd(t, lead)
-        if m != 1:
-            scale *= m
-            q = [c * m for c in q]
-            t *= m
-        q.append(t // lead)
-    return q, scale
-
-
-def _reduced(ints: list[int], d: int) -> tuple[list[int], int]:
-    """ints/d with the common factor of the list and d divided out."""
-    g = math.gcd(d, *ints)
-    return [c // g for c in ints], d // g
 
 
 class PowerSeries:
@@ -178,8 +137,13 @@ class PowerSeries:
         n = min(self.order, other.order)
         a, da = _scaled(self._coeffs[: n + 1])
         b, db = _scaled(other._coeffs[: n + 1])
+        out = [0] * (n + 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(n + 1 - i):
+                    out[i + j] += ai * b[j]
         d = da * db
-        return PowerSeries(Fraction(c, d) for c in _int_product(a, b, n))
+        return PowerSeries(Fraction(c, d) for c in out)
 
     # -- division, sqrt, composition, reversion --------------------------
 
@@ -188,9 +152,9 @@ class PowerSeries:
 
         When the denominator has valuation v > 0 the numerator must share
         it; the common factor x^v is cancelled and the certified order
-        shrinks by v.  Both operands go over their common denominators and
-        the division runs on plain integers (`_int_quotient`), so each
-        output coefficient is reduced once.
+        shrinks by v.  Each quotient coefficient is the numerator's minus
+        the convolution of the quotient so far with the denominator, over
+        the denominator's leading coefficient.
         """
         v = den.valuation()
         if v is None:
@@ -208,11 +172,15 @@ class PowerSeries:
         n = min(self.order, den.order) - v
         if n < 0:
             raise SeriesError("division result certifies no coefficients at these orders")
-        a, da = _scaled(num_c[: n + 1])
-        b, db = _scaled(den_c[: n + 1])
-        q, scale = _int_quotient(a, b, n)
-        d = da * scale
-        return PowerSeries(Fraction(c * db, d) for c in q)
+        lead = den_c[0]
+        q: list[Fraction] = []
+        for k in range(n + 1):
+            acc = num_c[k]
+            for i, c in enumerate(q):
+                if c:
+                    acc -= c * den_c[k - i]
+            q.append(acc / lead)
+        return PowerSeries(q)
 
     __truediv__ = divide
 
@@ -247,9 +215,8 @@ class PowerSeries:
 
         Needs constant term 0 and nonzero linear term.  Lagrange inversion
         gives [x^k] result = (1/k) [x^(k-1)] w^k with w = x/self, so one
-        division and a running power of w yield every coefficient.  Both
-        run on integer lists over one denominator each; after every
-        product the gcd of the list and its denominator is divided out.
+        division and a running power of w, n - 1 products, yield every
+        coefficient.
 
         Nothing in the pipeline calls it: the true inverse comes from its
         ODE (`derivation.true_inverse_series`).  It stays as the general
@@ -260,15 +227,12 @@ class PowerSeries:
         if self.order < 1 or self._coeffs[1] == 0:
             raise SeriesError("reversion needs a nonzero linear coefficient")
         n = self.order
-        b, db = _scaled(self._coeffs[1:])
-        q, scale = _int_quotient([1] + [0] * (n - 1), b, n - 1)
-        w, wden = _reduced([c * db for c in q], scale)
-        power, pden = w, wden
-        g = [Fraction(0)]
-        for k in range(1, n + 1):
-            g.append(Fraction(power[k - 1], pden * k))
-            if k < n:
-                power, pden = _reduced(_int_product(power, w, n - 1), pden * wden)
+        w = PowerSeries.one(n - 1).divide(PowerSeries(self._coeffs[1:]))
+        power = w
+        g = [Fraction(0), w[0]]
+        for k in range(2, n + 1):
+            power = power * w
+            g.append(power[k - 1] / k)
         return PowerSeries(g)
 
     # -- display ---------------------------------------------------------

@@ -1,11 +1,11 @@
 """Series builders, a message matcher and the invert measurement strategy
-the tests share, and the kernels the package replaced.
+the tests share, and the closed-form expansion the package replaced.
 
 The builders (`polynomial`, `scale`, `tail_series`) were once methods of
 `PowerSeries` and of the former `TailClosedForm` record; no code under src/
 needs them any more.
-The oracles are the Fraction algorithms that the integer kernels replaced;
-the kernels must match them, exceptions and messages included.
+`ramanujan_by_sqrt` is the closed form by `sqrt` and `divide`, the oracle
+that the linear recurrence `cfrac.ramanujan_series` must match.
 """
 
 import math
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from invarc.series import PowerSeries, SeriesError
+from invarc.series import PowerSeries
 
 # every finite float, subnormals included
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -48,50 +48,7 @@ def tail_series(c, order):
     return scale(PowerSeries.one(order) + radicand.sqrt(), Fraction(1, 2))
 
 
-# -- the replaced kernels ----------------------------------------------------
-
-
-def divide_by_fractions(num, den):
-    # the former PowerSeries.divide: long division, one Fraction per term
-    v = den.valuation()
-    if v is None:
-        raise SeriesError("denominator is zero through its whole order")
-    num_c = num.coeffs
-    den_c = den.coeffs
-    if v > 0:
-        nv = num.valuation()
-        if nv is not None and nv < v:
-            raise SeriesError(f"denominator valuation {v} exceeds numerator valuation {nv}")
-        num_c = num_c[v:]
-        den_c = den_c[v:]
-    n = min(num.order, den.order) - v
-    if n < 0:
-        raise SeriesError("division result certifies no coefficients at these orders")
-    lead = den_c[0]
-    out = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        acc = num_c[k]
-        for i in range(k):
-            if out[i] != 0:
-                acc -= out[i] * den_c[k - i]
-        out[k] = acc / lead
-    return PowerSeries(out)
-
-
-def revert_by_fractions(s):
-    # the former PowerSeries.revert: Lagrange inversion on Fraction series
-    if s.coeffs[0] != 0:
-        raise SeriesError("can only revert a series with zero constant term")
-    if s.order < 1 or s.coeffs[1] == 0:
-        raise SeriesError("reversion needs a nonzero linear coefficient")
-    n = s.order
-    w = divide_by_fractions(PowerSeries.one(n - 1), PowerSeries(s.coeffs[1:]))
-    power = PowerSeries.one(n - 1)
-    g = [Fraction(0)]
-    for k in range(1, n + 1):
-        power = power * w
-        g.append(power[k - 1] / k)
-    return PowerSeries(g)
+# -- the replaced closed-form expansion --------------------------------------
 
 
 def ramanujan_by_sqrt(order):
@@ -101,7 +58,7 @@ def ramanujan_by_sqrt(order):
     root = polynomial([1, -3], order).sqrt()
     den = PowerSeries.monomial(2, 0, order) + root
     num = PowerSeries.monomial(3, 2, order)
-    return PowerSeries.monomial(4, 1, order) - divide_by_fractions(num, den)
+    return PowerSeries.monomial(4, 1, order) - num.divide(den)
 
 
 @st.composite

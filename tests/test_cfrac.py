@@ -227,6 +227,9 @@ def test_tail_closed_form_string():
     assert tail_closed_form(F(-1, 4)) == "(1 + sqrt(1 + h))/2"
     assert tail_closed_form(F(-1, 2)) == "(1 + sqrt(1 + 2h))/2"
     assert tail_closed_form(F(0)) == "(1 + sqrt(1))/2"
+    # a fractional slope in parentheses: 3/2h would read as 3/(2h)
+    assert tail_closed_form(F(3, 8)) == "(1 + sqrt(1 - (3/2)h))/2"
+    assert tail_closed_form(F(-3, 8)) == "(1 + sqrt(1 + (3/2)h))/2"
 
 
 def test_collapse_gives_canonical_string():
@@ -402,6 +405,20 @@ def _rational_source(leading, head, partials, order):
     return PowerSeries.monomial(leading, 1, order) - PowerSeries.monomial(head, 2, order) / tail
 
 
+def _to_series_by_division(cf, order):
+    # the former cfrac_to_series: one series division per partial, with the
+    # frozen tail repeated up to the order - 2 partials the order needs
+    if order < 1:
+        raise ValueError("order must be positive")
+    partials = list(cf.partials)
+    need = order - 2
+    if len(partials) < need:
+        if cf.periodic_from is None or not 1 <= cf.periodic_from <= cf.depth:
+            raise CFracError(f"depth {cf.depth} certifies only order {cf.depth + 2}")
+        partials += [cf.partials[cf.periodic_from - 1]] * (need - len(partials))
+    return _rational_source(cf.leading, cf.head, partials, order)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -455,6 +472,25 @@ def test_expand_matches_division_oracle_on_rational_sources(leading, head, parti
     depth = len(partials) + extra
     s = _rational_source(leading, head, partials, depth + 2)
     assert _outcome(cfrac_expand, s, depth) == _outcome(_expand_by_division, s, depth)
+
+
+@st.composite
+def _fractions_to_expand(draw):
+    # plain and frozen fractions, zero partials and a periodic_from outside
+    # 1..depth included, at orders within and beyond depth + 2
+    partials = tuple(draw(st.lists(sparse_fractions_st, max_size=8)))
+    cf = CFraction(draw(nonzero_fractions_st), draw(sparse_fractions_st), partials,
+                   draw(st.one_of(st.none(), st.integers(0, len(partials) + 1))))
+    return cf, draw(st.integers(-1, 40))
+
+
+@given(_fractions_to_expand())
+@example((CFraction(F(4), F(1), (F(1, 2), F(3, 4)), 2), 40))
+@example((CFraction(F(4), F(1), (F(1, 2),)), 4))
+@settings(max_examples=150, deadline=None)
+def test_to_series_matches_one_division_per_partial(case):
+    cf, order = case
+    assert _outcome(cfrac_to_series, cf, order) == _outcome(_to_series_by_division, cf, order)
 
 
 # Rutishauser's quotient-difference algorithm: the partials by a route that

@@ -168,7 +168,7 @@ def test_true_inverse_does_not_compose(monkeypatch):
 
 @pytest.mark.parametrize("order", [1, 2, 12, 40, 80, 160])
 def test_true_inverse_matches_reversion(order):
-    # PowerSeries.revert is the oracle; order 160 costs about 2.5 s of it
+    # PowerSeries.revert is the oracle; order 160 costs about 3 s of it
     assert true_inverse_series(order) == h_series(order).revert()
 
 
