@@ -170,15 +170,18 @@ def cfrac_to_series(cf: CFraction, order: int) -> PowerSeries:
 
     The tail is kept as one quotient num/den: a partial a turns it into
     1 - a*h*den/num = (num - a*h*den)/num, so one division ends the loop.
+    The head term starts at h^2, so order 1 is leading*h: the series is
+    formed at order 2 at least and truncated.
     """
     if order < 1:
         raise ValueError("order must be positive")
-    work = _materialized_partials(cf, max(0, order - 2))
-    num = den = PowerSeries.one(order)
+    n = max(order, 2)
+    work = _materialized_partials(cf, n - 2)
+    num = den = PowerSeries.one(n)
     for a in reversed(work):
-        num, den = num - PowerSeries.monomial(a, 1, order) * den, num
-    head_term = (PowerSeries.monomial(cf.head, 2, order) * den).divide(num)
-    return PowerSeries.monomial(cf.leading, 1, order) - head_term
+        num, den = num - PowerSeries.monomial(a, 1, n) * den, num
+    head_term = (PowerSeries.monomial(cf.head, 2, n) * den).divide(num)
+    return (PowerSeries.monomial(cf.leading, 1, n) - head_term).truncate(order)
 
 
 def freeze_tail(cf: CFraction, from_index: int, value) -> CFraction:

@@ -11,10 +11,12 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 verification or domain failure or
 an --out file that cannot be written.  Output uses LF line endings and is
-byte-identical across runs for a given invocation; --out follows symlinks,
-writes a regular file atomically (temp file in the target directory, then
-rename) with the mode a plain write would give, and writes straight to a
-FIFO or a device.
+byte-identical across runs for a given invocation.  Output goes to stdout
+or --out only once the whole of it is ready, so a command that fails part
+way (an "error:" line, exit 2) prints no partial table and leaves no --out
+file.  --out follows symlinks, writes a regular file atomically (temp file
+in the target directory, then rename) with the mode a plain write would
+give, and writes straight to a FIFO or a device.
 """
 
 from __future__ import annotations
@@ -111,12 +113,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write_out(text: str, out: str) -> None:
+def _write_out(pieces: list[str], out: str) -> None:
     target = os.path.realpath(out)
     if os.path.exists(target) and not os.path.isfile(target):
         # a FIFO or a device is written to, not replaced (a directory fails)
         with open(target, "w", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
         return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".invarc-")
     try:
@@ -125,7 +127,7 @@ def _write_out(text: str, out: str) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -145,7 +147,7 @@ _TABLE_LABELS = {
 }
 
 
-def _cmd_verify_series(args) -> tuple[str, int]:
+def _cmd_verify_series(args) -> tuple[list[str], int]:
     report = full_report(args.order)
     # the partials are one more table, keyed by their 1-based index
     tables = {name: dict(enumerate(s.coeffs)) for name, s in zip(_TABLE_LABELS, report[:5])}
@@ -179,10 +181,10 @@ def _cmd_verify_series(args) -> tuple[str, int]:
             lines.append(f"reference check: {len(mismatches)} of {checked} mismatch")
         else:
             lines.append(f"reference check: {checked} coefficients match")
-    return "\n".join(lines) + "\n", 2 if mismatches else 0
+    return ["\n".join(lines) + "\n"], 2 if mismatches else 0
 
 
-def _cmd_cfrac(args) -> tuple[str, int]:
+def _cmd_cfrac(args) -> tuple[list[str], int]:
     source = true_inverse_series(args.depth + 2)
     cf = cfrac_expand(source, args.depth)
     lines = [
@@ -205,7 +207,7 @@ def _cmd_cfrac(args) -> tuple[str, int]:
             lines.append(f"closed form: none ({exc})")
         else:
             lines.append(f"closed form: {closed}")
-    return "\n".join(lines) + "\n", 0
+    return ["\n".join(lines) + "\n"], 0
 
 
 def _band_violations(rows) -> list[str]:
@@ -228,8 +230,12 @@ def _band_violations(rows) -> list[str]:
 # one %-format per row prints each column as f"{value:.17g}" would
 _ERROR_ROW_FORMAT = "\t".join(["%.17g"] * len(ERROR_TABLE_COLUMNS))
 
+# rows per error_sweep call: the table keeps its text, one piece per block,
+# and only one block's row records at a time
+_SWEEP_BLOCK = 1024
 
-def _cmd_error_table(args) -> tuple[str, int]:
+
+def _cmd_error_table(args) -> tuple[list[str], int]:
     if not (0.0 <= args.lambda_min <= args.lambda_max < 1.0):
         raise UsageError(
             f"need 0 <= lambda-min <= lambda-max < 1, got "
@@ -237,17 +243,21 @@ def _cmd_error_table(args) -> tuple[str, int]:
         )
     cfg = PrecisionConfig(abs_tol=args.abs_tol)
     span = args.lambda_max - args.lambda_min
-    grid = [args.lambda_min + span * i / args.steps for i in range(args.steps + 1)]
-    rows = error_sweep(grid, cfg)
-    header = "\t".join(ERROR_TABLE_COLUMNS)
-    text = "\n".join([header, *[_ERROR_ROW_FORMAT % row for row in rows], ""])
-    violations = _band_violations(rows)
+    row_format = _ERROR_ROW_FORMAT + "\n"
+    pieces = ["\t".join(ERROR_TABLE_COLUMNS) + "\n"]
+    violations = []
+    for first in range(0, args.steps + 1, _SWEEP_BLOCK):
+        block = range(first, min(first + _SWEEP_BLOCK, args.steps + 1))
+        rows = error_sweep([args.lambda_min + span * i / args.steps for i in block], cfg)
+        pieces.append("".join([row_format % row for row in rows]))
+        violations += _band_violations(rows)
+    # printed after the last block: a refusal in any block prints its error alone
     for message in violations:
         print(f"band check failed: {message}", file=sys.stderr)
-    return text, 2 if violations else 0
+    return pieces, 2 if violations else 0
 
 
-def _cmd_invert(args) -> tuple[str, int]:
+def _cmd_invert(args) -> tuple[list[str], int]:
     inversion = invert_from_measurements(args.perimeter, args.axis_sum)
     lines = [
         f"a: {inversion.a:.17g}",
@@ -255,7 +265,7 @@ def _cmd_invert(args) -> tuple[str, int]:
         f"lambda: {inversion.lam:.17g}",
         f"h: {inversion.h:.17g}",
     ]
-    return "\n".join(lines) + "\n", 0
+    return ["\n".join(lines) + "\n"], 0
 
 
 def run(argv=None) -> int:
@@ -267,7 +277,7 @@ def run(argv=None) -> int:
     }
     try:
         args = build_parser().parse_args(argv)
-        text, code = handlers[args.command](args)
+        pieces, code = handlers[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -278,10 +288,10 @@ def run(argv=None) -> int:
         return 2
     out = getattr(args, "out", None)
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return code
     try:
-        _write_out(text, out)
+        _write_out(pieces, out)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
         return 2

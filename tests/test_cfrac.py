@@ -145,6 +145,12 @@ def test_to_series_depth_d_certifies_order_d_plus_2():
         cfrac_to_series(cf, 6)
 
 
+def test_to_series_at_order_1_is_the_leading_term():
+    # the head term starts at h^2, so no partial is needed at order 1
+    assert cfrac_to_series(CFraction(F(4), F(1), (F(1, 2),)), 1) == PowerSeries([0, 4])
+    assert cfrac_to_series(CFraction(F(-3), F(7), ()), 1) == PowerSeries([0, -3])
+
+
 def test_to_series_needs_materializable_partials():
     cf = cfrac_expand(true_inverse_series(6), 4)
     with pytest.raises(ValueError, match=whole("order must be positive")):
@@ -410,13 +416,14 @@ def _to_series_by_division(cf, order):
     # frozen tail repeated up to the order - 2 partials the order needs
     if order < 1:
         raise ValueError("order must be positive")
+    n = max(order, 2)  # the head term starts at h^2
     partials = list(cf.partials)
-    need = order - 2
+    need = n - 2
     if len(partials) < need:
         if cf.periodic_from is None or not 1 <= cf.periodic_from <= cf.depth:
             raise CFracError(f"depth {cf.depth} certifies only order {cf.depth + 2}")
         partials += [cf.partials[cf.periodic_from - 1]] * (need - len(partials))
-    return _rational_source(cf.leading, cf.head, partials, order)
+    return _rational_source(cf.leading, cf.head, partials, n).truncate(order)
 
 
 def _outcome(fn, *args):
@@ -487,6 +494,7 @@ def _fractions_to_expand(draw):
 @given(_fractions_to_expand())
 @example((CFraction(F(4), F(1), (F(1, 2), F(3, 4)), 2), 40))
 @example((CFraction(F(4), F(1), (F(1, 2),)), 4))
+@example((CFraction(F(4), F(1), (F(1, 2),)), 1))
 @settings(max_examples=150, deadline=None)
 def test_to_series_matches_one_division_per_partial(case):
     cf, order = case

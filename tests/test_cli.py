@@ -392,6 +392,116 @@ def test_error_table_out_file_atomic(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["rows.tsv"]
 
 
+def _one_shot_error_table(lo, hi, steps):
+    # the rendering error-table had before it swept in blocks: one sweep over
+    # the whole grid, one join, one band check over every row
+    span = hi - lo
+    grid = [lo + span * i / steps for i in range(steps + 1)]
+    rows = cli.error_sweep(grid, numeric.DEFAULT_CONFIG)
+    header = "\t".join(numeric.ERROR_TABLE_COLUMNS)
+    text = "\n".join([header, *[cli._ERROR_ROW_FORMAT % row for row in rows], ""])
+    violations = cli._band_violations(rows)
+    err = "".join(f"band check failed: {message}\n" for message in violations)
+    return 2 if violations else 0, text, err
+
+
+def _error_table_argv(lo, hi, steps):
+    return ["error-table", "--lambda-min", repr(lo), "--lambda-max", repr(hi),
+            "--steps", str(steps)]
+
+
+# --steps is at least 1, so 2 rows is the smallest table; the grid crosses
+# the exact/float cutoff at 0.35, so blocks mix both row paths
+@pytest.mark.parametrize("rows", [2, 1023, 1024, 1025, 2048, 2049])
+def test_error_table_blocks_match_the_one_shot_rendering(tmp_path, capsys, rows):
+    assert cli._SWEEP_BLOCK == 1024
+    argv = _error_table_argv(0.3, 0.4, rows - 1)
+    expected = _one_shot_error_table(0.3, 0.4, rows - 1)
+    assert expected[1].count("\n") == rows + 1
+    assert invoke(capsys, *argv) == expected
+    target = tmp_path / "rows.tsv"
+    assert invoke(capsys, *argv, "--out", str(target)) == (expected[0], "", expected[2])
+    assert target.read_bytes() == expected[1].encode()
+
+
+def test_error_table_band_messages_from_two_blocks_keep_row_order(capsys, monkeypatch):
+    # synthetic rows off the band at three lambdas, two in the first block
+    # (one of them in both bands) and one in the second
+    steps = 2047
+    bad = {0.2 * i / steps for i in (3, 1000, 1500)}
+    calls = []
+
+    def sweep(grid, cfg):
+        calls.append(len(grid))
+        return [ErrorRow(lam, 0.0, 0.0, 0.0, 0.0, -1.25 if lam in bad else -1.0)
+                for lam in grid]
+
+    monkeypatch.setattr(cli, "error_sweep", sweep)
+    expected = _one_shot_error_table(0.0, 0.2, steps)
+    assert expected[2].count("\n") == 4
+    calls.clear()
+    assert invoke(capsys, *_error_table_argv(0.0, 0.2, steps)) == expected
+    assert calls == [1024, 1024]
+
+
+@pytest.mark.parametrize("target", [None, "absent", "existing"])
+def test_error_table_refusal_in_a_later_block_writes_nothing(
+    tmp_path, capsys, monkeypatch, target
+):
+    # the first block's rows all miss the band, yet the refusal in the
+    # second is the one line printed, as when one sweep covered every row
+    calls = []
+
+    def sweep(grid, cfg):
+        calls.append(len(grid))
+        if len(calls) == 2:
+            raise numeric.NumericError("refused in the second block")
+        return [ErrorRow(lam, 0.0, 0.0, 0.0, 0.0, -1.25) for lam in grid]
+
+    monkeypatch.setattr(cli, "error_sweep", sweep)
+    argv = _error_table_argv(0.0, 0.2, 1500)
+    out = tmp_path / "rows.tsv"
+    if target == "existing":
+        out.write_text("stale\n")
+    if target is not None:
+        argv += ["--out", str(out)]
+    code, stdout, err = invoke(capsys, *argv)
+    assert (code, stdout, err) == (2, "", "error: refused in the second block\n")
+    assert calls == [1024, 477]
+    # no table, no .invarc-* temp file, and an existing target untouched
+    expected = ["rows.tsv"] if target == "existing" else []
+    assert [p.name for p in tmp_path.iterdir()] == expected
+    if target == "existing":
+        assert out.read_text() == "stale\n"
+
+
+def test_error_table_memory_stays_near_its_text(monkeypatch):
+    # the table holds its text, not one record per row: traced allocations
+    # peak below twice the text (one sweep over all rows peaked at 4.5x)
+    import tracemalloc
+
+    real_sweep = cli.error_sweep
+    sizes = []
+
+    def sweep(grid, cfg):
+        sizes.append(len(grid))
+        return real_sweep(grid, cfg)
+
+    monkeypatch.setattr(cli, "error_sweep", sweep)
+    args = cli.build_parser().parse_args(_error_table_argv(0.36, 0.99, 20000))
+    tracemalloc.start()
+    try:
+        pieces, code = cli._cmd_error_table(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text_length = sum(map(len, pieces))
+    assert code == 0
+    assert peak < 2 * text_length, (peak, text_length)
+    assert sum(sizes) == 20001
+    assert max(sizes) <= cli._SWEEP_BLOCK
+
+
 def test_invert_output(capsys):
     code, out, _ = invoke(
         capsys, "invert", "--perimeter", "9.688448220547675", "--sum", "3.0"
