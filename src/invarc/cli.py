@@ -26,17 +26,9 @@ import contextlib
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
-from .cfrac import (
-    CFracError,
-    NotInRamanujanShape,
-    cfrac_expand,
-    collapse_to_closed_form,
-    freeze_tail,
-    tail_closed_form,
-)
-from .derivation import full_report, true_inverse_series
+# the symbolic layers load inside the handlers that run them, so
+# error-table and invert import only this module and numeric
 from .numeric import (
     DEFAULT_CONFIG,
     ERROR_TABLE_COLUMNS,
@@ -45,8 +37,6 @@ from .numeric import (
     error_sweep,
     invert_from_measurements,
 )
-from .reference import CFRAC_PARTIALS, REFERENCE_SERIES
-from .series import SeriesError
 
 
 class UsageError(Exception):
@@ -71,7 +61,9 @@ def _positive_int(floor: int):
     return parse
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -148,6 +140,9 @@ _TABLE_LABELS = {
 
 
 def _cmd_verify_series(args) -> tuple[list[str], int]:
+    from .derivation import full_report
+    from .reference import CFRAC_PARTIALS, REFERENCE_SERIES
+
     report = full_report(args.order)
     # the partials are one more table, keyed by their 1-based index
     tables = {name: dict(enumerate(s.coeffs)) for name, s in zip(_TABLE_LABELS, report[:5])}
@@ -185,6 +180,15 @@ def _cmd_verify_series(args) -> tuple[list[str], int]:
 
 
 def _cmd_cfrac(args) -> tuple[list[str], int]:
+    from .cfrac import (
+        NotInRamanujanShape,
+        cfrac_expand,
+        collapse_to_closed_form,
+        freeze_tail,
+        tail_closed_form,
+    )
+    from .derivation import true_inverse_series
+
     source = true_inverse_series(args.depth + 2)
     cf = cfrac_expand(source, args.depth)
     lines = [
@@ -268,6 +272,15 @@ def _cmd_invert(args) -> tuple[list[str], int]:
     return ["\n".join(lines) + "\n"], 0
 
 
+def _symbolic_errors() -> tuple[type[Exception], ...]:
+    """The symbolic layers' error types, for run's except clause, which
+    evaluates this only when an exception reaches it."""
+    from .cfrac import CFracError
+    from .series import SeriesError
+
+    return CFracError, SeriesError
+
+
 def run(argv=None) -> int:
     handlers = {
         "verify-series": _cmd_verify_series,
@@ -283,7 +296,7 @@ def run(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (NumericError, CFracError, SeriesError, ValueError) as exc:
+    except (NumericError, ValueError, *_symbolic_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = getattr(args, "out", None)

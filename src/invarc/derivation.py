@@ -7,35 +7,22 @@ inverse) from the hypergeometric ODE Ivory's series satisfies, expands
 the closed form 4h - 3h^2/(2 + sqrt(1 - 3h)) as a series, differences the
 two (the error law -h^6/32 - ...), and extracts the continued fraction of
 the true inverse.  :func:`full_report` bundles all of it.
+
+This is the symbolic layer, above series and cfrac.  It also reads
+Ivory's coefficients from the float layer's memo
+(:func:`invarc.numeric.ivory_coefficient`); numeric imports nothing from
+here, so the commands that need only floats never load this module.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
 from .cfrac import CFraction, cfrac_expand, ramanujan_series
+from .numeric import ivory_coefficient
 from .series import PowerSeries
-
-# Grown only under the lock and only by appending in index order, so every
-# entry below the current length is final and can be read without it.
-_IVORY_COEFFS: list[Fraction] = [Fraction(1), Fraction(1, 4)]
-_IVORY_LOCK = threading.Lock()
-
-
-def ivory_coefficient(n: int) -> Fraction:
-    """binom(1/2, n)^2, the coefficient of lambda^(2n) in the perimeter series."""
-    if n < 0:
-        raise ValueError("coefficient index must be non-negative")
-    if n < len(_IVORY_COEFFS):
-        return _IVORY_COEFFS[n]
-    with _IVORY_LOCK:
-        while len(_IVORY_COEFFS) <= n:
-            k = len(_IVORY_COEFFS)
-            _IVORY_COEFFS.append(_IVORY_COEFFS[k - 1] * Fraction((2 * k - 3) ** 2, (2 * k) ** 2))
-    return _IVORY_COEFFS[n]
 
 
 def ivory_series(order: int) -> PowerSeries:

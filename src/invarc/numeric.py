@@ -15,16 +15,23 @@ brackets each column, and a row whose bracket straddles a rounding
 boundary is redone at 2P.  Larger lambda uses the plain float AGM, whose
 error there is five orders below the signal but not below the printed
 digits: diff and normalized keep about 4.5 correct digits.
+
+This is the float layer: it imports no other invarc module, so error-table
+and invert load none of the symbolic ones.  It holds the one memo of
+Ivory's coefficients, which derivation reads too; fractions is imported
+only when that memo grows, and decimal only for an out-of-range bound in
+an invert refusal.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from decimal import Decimal
-from typing import NamedTuple
+import threading
+from typing import TYPE_CHECKING, NamedTuple
 
-from .derivation import ivory_coefficient
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class NumericError(ArithmeticError):
@@ -94,6 +101,31 @@ class ErrorRow(NamedTuple):
     lambda_sq_approx: float
     diff: float
     normalized: float
+
+
+# Empty until first read, so that importing numeric does not load
+# fractions.  Grown only under the lock and only by appending in index
+# order, so every entry below the current length is final and can be read
+# without it.
+_IVORY_COEFFS: list[Fraction] = []
+_IVORY_LOCK = threading.Lock()
+
+
+def ivory_coefficient(n: int) -> Fraction:
+    """binom(1/2, n)^2, the coefficient of lambda^(2n) in the perimeter series."""
+    if n < 0:
+        raise ValueError("coefficient index must be non-negative")
+    if n < len(_IVORY_COEFFS):
+        return _IVORY_COEFFS[n]
+    from fractions import Fraction
+
+    with _IVORY_LOCK:
+        if not _IVORY_COEFFS:
+            _IVORY_COEFFS.append(Fraction(1))
+        while len(_IVORY_COEFFS) <= n:
+            k = len(_IVORY_COEFFS)
+            _IVORY_COEFFS.append(_IVORY_COEFFS[k - 1] * Fraction((2 * k - 3) ** 2, (2 * k) ** 2))
+    return _IVORY_COEFFS[n]
 
 
 def lambda_of(e: Ellipse) -> float:
@@ -325,6 +357,8 @@ def _circle_bound(mantissa: float, exponent: int) -> str:
     bound = math.pi * math.ldexp(mantissa, exponent)
     if sys.float_info.min <= bound < math.inf:
         return f"{bound}"
+    from decimal import Decimal
+
     numerator, denominator = (math.pi * mantissa).as_integer_ratio()
     shift = denominator.bit_length() - 1 - exponent
     if shift < 0:

@@ -90,7 +90,8 @@ def test_verify_series_reports_a_reference_mismatch(monkeypatch, capsys):
     monkeypatch.setitem(REFERENCE_SERIES["true"], 6, Fraction(-1))
     monkeypatch.setitem(REFERENCE_SERIES["difference"], 6, Fraction(1))
     partials = (Fraction(1, 2), Fraction(9, 4), *CFRAC_PARTIALS[2:])
-    monkeypatch.setattr(cli, "CFRAC_PARTIALS", partials)
+    # cli reads the table from invarc.reference when verify-series runs
+    monkeypatch.setattr("invarc.reference.CFRAC_PARTIALS", partials)
     code, out, err = invoke(capsys, "verify-series")
     assert (code, err) == (2, "")
     assert out == (FIXTURES / "report_order12.txt").read_text() + (
@@ -660,6 +661,60 @@ def test_runtime_imports_only_the_standard_library():
     # the records are NamedTuples: dataclasses and the inspect machinery it
     # pulls in would more than double the import time
     assert [m for m in loaded if m in ("dataclasses", "inspect")] == []
+
+
+# What only verify-series and cfrac need; the float commands load none of it.
+SYMBOLIC_MODULES = (
+    "fractions", "decimal", "invarc.series", "invarc.cfrac", "invarc.derivation", "invarc.reference",
+)
+# one run of the CLI in a fresh interpreter; a last stderr line names the
+# symbolic modules it loaded
+COLD_RUN = (
+    "import sys\n"
+    "from invarc.cli import run\n"
+    "code = run(sys.argv[1:])\n"
+    f"print('loaded:', *sorted(set({SYMBOLIC_MODULES!r}) & set(sys.modules)), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _cold_run(*argv):
+    import subprocess
+    import sys
+
+    return subprocess.run([sys.executable, "-c", COLD_RUN, *argv], capture_output=True, text=True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # rows at 0.3 and 0.35 take the exact path, the row at 0.4 the float path
+        ("error-table", "--lambda-min", "0.3", "--lambda-max", "0.4", "--steps", "2"),
+        INVERT_ARGS,
+    ],
+    ids=["error-table", "invert"],
+)
+def test_float_commands_load_no_symbolic_module(capsys, argv):
+    proc = _cold_run(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "loaded:\n")
+    assert proc.stdout == invoke(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize(
+    "argv, fixture, tail, loaded",
+    [
+        (("verify-series", "--order", "12"), "report_order12.txt",
+         "reference check: 52 coefficients match\n", SYMBOLIC_MODULES),
+        (("cfrac", "--depth", "30", "--freeze", "3/4"), "cfrac_depth30_freeze.txt", "",
+         set(SYMBOLIC_MODULES) - {"invarc.reference"}),
+    ],
+    ids=["verify-series", "cfrac"],
+)
+def test_symbolic_commands_load_their_layers_when_they_run(argv, fixture, tail, loaded):
+    proc = _cold_run(*argv)
+    assert proc.returncode == 0
+    assert proc.stdout == (FIXTURES / fixture).read_text() + tail
+    assert proc.stderr == f"loaded: {' '.join(sorted(loaded))}\n"
 
 
 # Extreme finite values for every float flag (FINITE), subnormals included;

@@ -12,7 +12,6 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from invarc import cli, numeric
-from invarc.derivation import ivory_coefficient
 from invarc.numeric import (
     ABS_TOL_CEILING,
     AGM_MAX_ITER,
@@ -26,6 +25,7 @@ from invarc.numeric import (
     error_sweep,
     h_of,
     invert_from_measurements,
+    ivory_coefficient,
     lambda_of,
     perimeter_agm,
     perimeter_series,

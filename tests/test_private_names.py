@@ -4,10 +4,11 @@ A helper that loses its last caller in a refactor stays importable and
 passes every test; this guard lists the `_name` functions, classes and
 assignments at the top level of each module under src/invarc and asserts
 that the package refers to each one somewhere besides its definition.
-Likewise each name a module imports must be read in that module, so
-neither a dead import nor a re-export layer can come back, and each layer
-raises one error type, so an exception subclass must be one that some
-`except` clause tells apart.
+Likewise each name a module imports must be read in that module, and
+each name a function imports must be read in that function, so neither
+a dead import nor a re-export layer can come back, and each layer raises
+one error type, so an exception subclass must be one that some `except`
+clause tells apart.
 """
 
 import ast
@@ -53,26 +54,42 @@ def test_every_private_module_name_is_referenced():
     assert unused == []
 
 
-def _imports(tree: ast.Module) -> list[str]:
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _imports(scope) -> list[str]:
+    """Names imported in the body of a module or function, outside any
+    function nested in it."""
     names = []
-    for node in ast.walk(tree):
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _FUNCTIONS):
+            continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        stack.extend(ast.iter_child_nodes(node))
     return names
 
 
 def test_every_import_is_used_in_its_module():
+    # a module-level import must be read somewhere in the module, and one
+    # inside a function within that same function, so a dead function-local
+    # import fails even when its name is read elsewhere
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        loaded = {
-            node.id
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-        }
-        unused += [f"{path.name}: {name}" for name in _imports(tree) if name not in loaded]
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, _FUNCTIONS))]:
+            loaded = {
+                node.id
+                for statement in scope.body
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            where = f"{path.name}: {getattr(scope, 'name', '<module>')}"
+            unused += [f"{where}: {name}" for name in _imports(scope) if name not in loaded]
     assert unused == []
 
 
