@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 verification or domain failure or
 an --out file that cannot be written.  Output uses LF line endings and is
-byte-identical across runs for a given invocation.  Output goes to stdout
-or --out only once the whole of it is ready, so a command that fails part
+byte-identical across runs for a given invocation.  Output starts only
+after every row has been computed and checked, so a command that fails part
 way (an "error:" line, exit 2) prints no partial table and leaves no --out
 file.  --out follows symlinks, writes a regular file atomically (temp file
 in the target directory, then rename) with the mode a plain write would
@@ -26,6 +26,7 @@ import contextlib
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 
 # the symbolic layers load inside the handlers that run them, so
 # error-table and invert import only this module and numeric
@@ -105,7 +106,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write_out(pieces: list[str], out: str) -> None:
+def _write_out(pieces: Iterable[str], out: str) -> None:
     target = os.path.realpath(out)
     if os.path.exists(target) and not os.path.isfile(target):
         # a FIFO or a device is written to, not replaced (a directory fails)
@@ -234,12 +235,16 @@ def _band_violations(rows) -> list[str]:
 # one %-format per row prints each column as f"{value:.17g}" would
 _ERROR_ROW_FORMAT = "\t".join(["%.17g"] * len(ERROR_TABLE_COLUMNS))
 
-# rows per error_sweep call: the table keeps its text, one piece per block,
-# and only one block's row records at a time
+# rows per error_sweep call: the table keeps each block as packed doubles,
+# 8 bytes a value, and only one block's row records at a time; a block's
+# text is made only as it is written
 _SWEEP_BLOCK = 1024
 
 
-def _cmd_error_table(args) -> tuple[list[str], int]:
+def _cmd_error_table(args) -> tuple[Iterable[str], int]:
+    import struct
+    from itertools import chain
+
     if not (0.0 <= args.lambda_min <= args.lambda_max < 1.0):
         raise UsageError(
             f"need 0 <= lambda-min <= lambda-max < 1, got "
@@ -247,18 +252,28 @@ def _cmd_error_table(args) -> tuple[list[str], int]:
         )
     cfg = PrecisionConfig(abs_tol=args.abs_tol)
     span = args.lambda_max - args.lambda_min
-    row_format = _ERROR_ROW_FORMAT + "\n"
-    pieces = ["\t".join(ERROR_TABLE_COLUMNS) + "\n"]
+    columns = len(ERROR_TABLE_COLUMNS)
+    blocks = []
     violations = []
     for first in range(0, args.steps + 1, _SWEEP_BLOCK):
         block = range(first, min(first + _SWEEP_BLOCK, args.steps + 1))
         rows = error_sweep([args.lambda_min + span * i / args.steps for i in block], cfg)
-        pieces.append("".join([row_format % row for row in rows]))
+        blocks.append(struct.pack(f"{columns * len(rows)}d", *chain.from_iterable(rows)))
         violations += _band_violations(rows)
     # printed after the last block: a refusal in any block prints its error alone
     for message in violations:
         print(f"band check failed: {message}", file=sys.stderr)
-    return pieces, 2 if violations else 0
+    # every row is computed and checked by now; the text follows one block
+    # at a time, as run() writes it
+    row_format = _ERROR_ROW_FORMAT + "\n"
+
+    def text():
+        yield "\t".join(ERROR_TABLE_COLUMNS) + "\n"
+        for packed in blocks:
+            values = struct.unpack(f"{len(packed) // 8}d", packed)
+            yield (row_format * (len(values) // columns)) % values
+
+    return text(), 2 if violations else 0
 
 
 def _cmd_invert(args) -> tuple[list[str], int]:
@@ -273,12 +288,16 @@ def _cmd_invert(args) -> tuple[list[str], int]:
 
 
 def _symbolic_errors() -> tuple[type[Exception], ...]:
-    """The symbolic layers' error types, for run's except clause, which
-    evaluates this only when an exception reaches it."""
-    from .cfrac import CFracError
-    from .series import SeriesError
-
-    return CFracError, SeriesError
+    """The error types of the symbolic layers loaded so far, for run's
+    except clause, which evaluates this only when an exception reaches it.
+    A layer that was never imported cannot have raised, so none is loaded
+    here."""
+    errors = []
+    for module, name in (("cfrac", "CFracError"), ("series", "SeriesError")):
+        layer = sys.modules.get(f"{__package__}.{module}")
+        if layer is not None:
+            errors.append(getattr(layer, name))
+    return tuple(errors)
 
 
 def run(argv=None) -> int:

@@ -425,9 +425,12 @@ def test_error_table_blocks_match_the_one_shot_rendering(tmp_path, capsys, rows)
     assert target.read_bytes() == expected[1].encode()
 
 
-def test_error_table_band_messages_from_two_blocks_keep_row_order(capsys, monkeypatch):
+def test_error_table_band_messages_from_two_blocks_keep_row_order(
+    tmp_path, capsys, monkeypatch
+):
     # synthetic rows off the band at three lambdas, two in the first block
-    # (one of them in both bands) and one in the second
+    # (one of them in both bands) and one in the second; a table that fails
+    # the band check is still written whole, to --out as to stdout
     steps = 2047
     bad = {0.2 * i / steps for i in (3, 1000, 1500)}
     calls = []
@@ -441,7 +444,13 @@ def test_error_table_band_messages_from_two_blocks_keep_row_order(capsys, monkey
     expected = _one_shot_error_table(0.0, 0.2, steps)
     assert expected[2].count("\n") == 4
     calls.clear()
-    assert invoke(capsys, *_error_table_argv(0.0, 0.2, steps)) == expected
+    argv = _error_table_argv(0.0, 0.2, steps)
+    assert invoke(capsys, *argv) == expected
+    assert calls == [1024, 1024]
+    target = tmp_path / "rows.tsv"
+    calls.clear()
+    assert invoke(capsys, *argv, "--out", str(target)) == (2, "", expected[2])
+    assert target.read_bytes() == expected[1].encode()
     assert calls == [1024, 1024]
 
 
@@ -476,9 +485,11 @@ def test_error_table_refusal_in_a_later_block_writes_nothing(
         assert out.read_text() == "stale\n"
 
 
-def test_error_table_memory_stays_near_its_text(monkeypatch):
-    # the table holds its text, not one record per row: traced allocations
-    # peak below twice the text (one sweep over all rows peaked at 4.5x)
+def test_error_table_memory_stays_below_its_text(monkeypatch):
+    # the table holds its rows as packed doubles, 48 bytes a row, and makes
+    # its text one block at a time as it is written: traced allocations over
+    # the handler and the writing peak below 0.75x the text (1.15x when the
+    # table held its text)
     import tracemalloc
 
     real_sweep = cli.error_sweep
@@ -490,15 +501,21 @@ def test_error_table_memory_stays_near_its_text(monkeypatch):
 
     monkeypatch.setattr(cli, "error_sweep", sweep)
     args = cli.build_parser().parse_args(_error_table_argv(0.36, 0.99, 20000))
-    tracemalloc.start()
-    try:
-        pieces, code = cli._cmd_error_table(args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    text_length = sum(map(len, pieces))
+    text_length = lines = 0
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            pieces, code = cli._cmd_error_table(args)
+            for piece in pieces:
+                text_length += len(piece)
+                lines += piece.count("\n")
+                sink.write(piece)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert code == 0
-    assert peak < 2 * text_length, (peak, text_length)
+    assert lines == 20002
+    assert peak < 0.75 * text_length, (peak, text_length)
     assert sum(sizes) == 20001
     assert max(sizes) <= cli._SWEEP_BLOCK
 
@@ -686,18 +703,26 @@ def _cold_run(*argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code",
     [
         # rows at 0.3 and 0.35 take the exact path, the row at 0.4 the float path
-        ("error-table", "--lambda-min", "0.3", "--lambda-max", "0.4", "--steps", "2"),
-        INVERT_ARGS,
+        (("error-table", "--lambda-min", "0.3", "--lambda-max", "0.4", "--steps", "2"), 0),
+        (INVERT_ARGS, 0),
+        # refusals: a layer never loaded cannot have raised, so catching its
+        # errors loads nothing (the subnormal invert refusal is left out: its
+        # circle bound loads decimal to rescale pi*sum exactly)
+        (("error-table", "--lambda-min", "0", "--lambda-max", "0.99", "--steps", "3000",
+          "--abs-tol", "1e-16"), 2),
+        (("invert", "--perimeter", "3", "--sum", "1"), 2),
     ],
-    ids=["error-table", "invert"],
+    ids=["error-table", "invert", "error-table-refused", "invert-refused"],
 )
-def test_float_commands_load_no_symbolic_module(capsys, argv):
+def test_float_commands_load_no_symbolic_module(capsys, argv, code):
     proc = _cold_run(*argv)
-    assert (proc.returncode, proc.stderr) == (0, "loaded:\n")
-    assert proc.stdout == invoke(capsys, *argv)[1]
+    expected = invoke(capsys, *argv)
+    assert expected[0] == code
+    assert (proc.returncode, proc.stdout) == (code, expected[1])
+    assert proc.stderr == expected[2] + "loaded:\n"
 
 
 @pytest.mark.parametrize(
