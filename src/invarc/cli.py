@@ -215,18 +215,19 @@ def _cmd_cfrac(args) -> tuple[list[str], int]:
     return ["\n".join(lines) + "\n"], 0
 
 
-def _band_violations(rows) -> list[str]:
+def _band_violations(values) -> list[str]:
     # |normalized + 1| stays within 0.02 out to lambda = 0.05 and within
     # 0.15 out to lambda = 0.2; the lambda = 0 limit row is exactly -1.
+    columns = len(ERROR_TABLE_COLUMNS)
     messages = []
-    for row in rows:
-        if not 0.0 < row.lam <= 0.2:  # outside both bands
+    for lam, normalized in zip(values[::columns], values[columns - 1::columns]):
+        if not 0.0 < lam <= 0.2:  # outside both bands
             continue
         for bound, tol in ((0.05, 0.02), (0.2, 0.15)):
-            if row.lam <= bound and abs(row.normalized + 1.0) > tol:
+            if lam <= bound and abs(normalized + 1.0) > tol:
                 messages.append(
-                    f"lambda {row.lam:.17g}: |normalized + 1| = "
-                    f"{abs(row.normalized + 1.0):.17g} exceeds {tol} "
+                    f"lambda {lam:.17g}: |normalized + 1| = "
+                    f"{abs(normalized + 1.0):.17g} exceeds {tol} "
                     f"(band up to lambda = {bound})"
                 )
     return messages
@@ -235,15 +236,14 @@ def _band_violations(rows) -> list[str]:
 # one %-format per row prints each column as f"{value:.17g}" would
 _ERROR_ROW_FORMAT = "\t".join(["%.17g"] * len(ERROR_TABLE_COLUMNS))
 
-# rows per error_sweep call: the table keeps each block as packed doubles,
-# 8 bytes a value, and only one block's row records at a time; a block's
-# text is made only as it is written
+# rows per error_sweep call: the table keeps each block as an array of
+# doubles, 8 bytes a value, and only one block's flat list of float
+# objects at a time; a block's text is made only as it is written
 _SWEEP_BLOCK = 1024
 
 
 def _cmd_error_table(args) -> tuple[Iterable[str], int]:
-    import struct
-    from itertools import chain
+    from array import array
 
     if not (0.0 <= args.lambda_min <= args.lambda_max < 1.0):
         raise UsageError(
@@ -257,9 +257,9 @@ def _cmd_error_table(args) -> tuple[Iterable[str], int]:
     violations = []
     for first in range(0, args.steps + 1, _SWEEP_BLOCK):
         block = range(first, min(first + _SWEEP_BLOCK, args.steps + 1))
-        rows = error_sweep([args.lambda_min + span * i / args.steps for i in block], cfg)
-        blocks.append(struct.pack(f"{columns * len(rows)}d", *chain.from_iterable(rows)))
-        violations += _band_violations(rows)
+        values = error_sweep([args.lambda_min + span * i / args.steps for i in block], cfg)
+        blocks.append(array("d", values))
+        violations += _band_violations(values)
     # printed after the last block: a refusal in any block prints its error alone
     for message in violations:
         print(f"band check failed: {message}", file=sys.stderr)
@@ -269,9 +269,8 @@ def _cmd_error_table(args) -> tuple[Iterable[str], int]:
 
     def text():
         yield "\t".join(ERROR_TABLE_COLUMNS) + "\n"
-        for packed in blocks:
-            values = struct.unpack(f"{len(packed) // 8}d", packed)
-            yield (row_format * (len(values) // columns)) % values
+        for values in blocks:
+            yield (row_format * (len(values) // columns)) % tuple(values)
 
     return text(), 2 if violations else 0
 

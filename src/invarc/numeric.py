@@ -3,7 +3,7 @@
 Two independent perimeter engines (AGM iteration and direct summation of
 the perimeter series), the excess h for concrete ellipses, the closed-form
 evaluator, perimeter-based inversion, and the error sweep that measures
-how the closed form tracks the true inverse.
+how the closed form tracks the true inverse, as flat floats, six a row.
 
 The sweep needs care: near lambda = 0 the error true - approx shrinks like
 h^6/32, which at lambda = 0.05 is about 2e-21 while one ulp of lambda^2 is
@@ -91,9 +91,10 @@ ERROR_TABLE_COLUMNS = ("lambda", "h", "lambda_sq_true", "lambda_sq_approx", "dif
 
 
 class ErrorRow(NamedTuple):
-    """One sweep row, in ERROR_TABLE_COLUMNS order.  The first field is `lam`
-    only because `lambda` is a Python keyword; it serializes under the
-    column name "lambda"."""
+    """One sweep row in ERROR_TABLE_COLUMNS order, as one exact row returns
+    it; ErrorRow(*values[6 * i:6 * i + 6]) reads row i of error_sweep's flat
+    values.  The first field is `lam` only because `lambda` is a Python
+    keyword; it serializes under the column name "lambda"."""
 
     lam: float
     h: float
@@ -162,7 +163,8 @@ def _agm_perimeter(a: float, b: float, tol: float) -> float:
     csum = 0.5 * (1.0 - y * y)
     weight = 1.0
     iterations = 0
-    while abs(x - y) > tol:
+    # not abs(x - y) > tol: the same truth value, NaN included, one call fewer
+    while x - y > tol or y - x > tol:
         iterations += 1
         if iterations > AGM_MAX_ITER:
             raise NumericError(f"AGM did not converge in {AGM_MAX_ITER} iterations")
@@ -312,37 +314,35 @@ def _fixed_point_row(lam: float, X: int, s: int, P: int) -> ErrorRow | None:
     return ErrorRow(lam, low[0], X / (1 << s), *low[1:])
 
 
-def _float_row(lam: float, tol: float) -> ErrorRow:
-    # h_of on the ellipse (1 + lam, 1 - lam), float for float, without
-    # building an Ellipse: lam in (0, 1) always makes a valid one
-    a = 1.0 + lam
-    b = 1.0 - lam
-    h = _agm_perimeter(a, b, tol) / (math.pi * (a + b)) - 1.0
-    true = lam * lam
-    approx = ramanujan_lambda_sq(h)
-    diff = true - approx
-    return ErrorRow(lam, h, true, approx, diff, 32.0 * diff / h**6)
-
-
-def error_sweep(lambda_grid, cfg: PrecisionConfig = DEFAULT_CONFIG) -> list[ErrorRow]:
+def error_sweep(lambda_grid, cfg: PrecisionConfig = DEFAULT_CONFIG) -> list[float]:
     """Evaluate the approximation error row by row over a lambda grid.
 
-    Each row reports h for the ellipse of that shape, the exact lambda^2,
-    the closed-form value, their difference, and the difference normalized
-    by -h^6/32 (so normalized -> -1 as lambda -> 0; the lambda = 0 row is
-    set to -1 by that limit).  Rows come back in input order.
+    Returns one flat list, six floats a row in ERROR_TABLE_COLUMNS order,
+    the rows in input order and no record built per row: h for the ellipse
+    of that shape, the exact lambda^2, the closed form, their difference,
+    and the difference normalized by -h^6/32 (so normalized -> -1 as
+    lambda -> 0; the lambda = 0 row is 0, 0, 0, 0, 0, -1 by that limit).
     """
-    rows = []
+    tol = cfg.abs_tol
+    values = []
     for lam in lambda_grid:
         if not (0.0 <= lam < 1.0):
             raise NumericError(f"lambda = {lam} outside [0, 1)")
         if lam == 0.0:
-            rows.append(ErrorRow(0.0, 0.0, 0.0, 0.0, 0.0, -1.0))
+            values += (0.0, 0.0, 0.0, 0.0, 0.0, -1.0)
         elif lam <= EXACT_SWEEP_CUTOFF:
-            rows.append(_exact_row(lam))
+            values += _exact_row(lam)
         else:
-            rows.append(_float_row(lam, cfg.abs_tol))
-    return rows
+            # h_of on the ellipse (1 + lam, 1 - lam), float for float, without
+            # building an Ellipse: lam in (0, 1) always makes a valid one
+            a = 1.0 + lam
+            b = 1.0 - lam
+            h = _agm_perimeter(a, b, tol) / (math.pi * (a + b)) - 1.0
+            true = lam * lam
+            approx = ramanujan_lambda_sq(h)
+            diff = true - approx
+            values += (lam, h, true, approx, diff, 32.0 * diff / h**6)
+    return values
 
 
 def _circle_bound(mantissa: float, exponent: int) -> str:

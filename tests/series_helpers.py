@@ -1,5 +1,6 @@
-"""Series builders, a message matcher and the invert measurement strategy
-the tests share, and the closed-form expansion the package replaced.
+"""Series builders, a message matcher, the invert measurement strategy and
+the reading of sweep values as rows that the tests share, and the
+closed-form expansion the package replaced.
 
 The builders (`polynomial`, `scale`, `tail_series`) were once methods of
 `PowerSeries` and of the former `TailClosedForm` record; no code under src/
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from invarc.numeric import ERROR_TABLE_COLUMNS, ErrorRow
 from invarc.series import PowerSeries
 
 # every finite float, subnormals included
@@ -23,6 +25,14 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def whole(message):
     """A pytest.raises match pattern for exactly this message."""
     return f"^{re.escape(message)}$"
+
+
+def rows(values):
+    """error_sweep's flat values regrouped into ErrorRows, six floats a row."""
+    width = len(ERROR_TABLE_COLUMNS)
+    if len(values) % width:
+        raise ValueError(f"{len(values)} values do not make rows of {width}")
+    return [ErrorRow(*values[i : i + width]) for i in range(0, len(values), width)]
 
 
 def polynomial(coeffs, order):

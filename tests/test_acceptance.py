@@ -27,6 +27,8 @@ from invarc.numeric import (
 )
 from invarc.series import PowerSeries
 
+from series_helpers import rows
+
 TRUE_COEFFS_1_TO_8 = (
     F(4),
     F(-1),
@@ -176,8 +178,8 @@ def test_c07_normalized_error_bands(verdict):
     start = time.perf_counter()
     tight_grid = [k / 400.0 for k in range(1, 21)]  # (0, 0.05]
     wide_grid = [k / 100.0 for k in range(1, 21)]  # (0, 0.2]
-    tight = max(abs(r.normalized + 1.0) for r in error_sweep(tight_grid))
-    wide = max(abs(r.normalized + 1.0) for r in error_sweep(wide_grid))
+    tight = max(abs(r.normalized + 1.0) for r in rows(error_sweep(tight_grid)))
+    wide = max(abs(r.normalized + 1.0) for r in rows(error_sweep(wide_grid)))
     elapsed = time.perf_counter() - start
     passed = tight <= 0.02 and wide <= 0.15 and elapsed < 1.0
     verdict(
@@ -213,9 +215,8 @@ def test_c08_engine_agreement(verdict):
 
 def test_c09_overestimate_sign(verdict):
     grid = [k / 1001.0 for k in range(1, 1001)]
-    rows = error_sweep(grid)
     # approx >= true means -diff >= 0; allow float noise down to -1e-15
-    margin = min(-row.diff for row in rows)
+    margin = min(-row.diff for row in rows(error_sweep(grid)))
     passed = margin >= -1e-15
     verdict(9, "closed form never undershoots (1000-point grid)", passed,
             f"min margin {margin:.2e}")

@@ -10,15 +10,14 @@ import stat
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invarc import cli, numeric
 from invarc.cli import run
-from invarc.numeric import ErrorRow
 from invarc.reference import CFRAC_PARTIALS, REFERENCE_SERIES
 
-from series_helpers import FINITE, measurements
+from series_helpers import FINITE, measurements, rows
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -363,11 +362,11 @@ def test_error_table_band_check_failure(capsys, monkeypatch):
     # bands, so feed the check synthetic rows
     def sweep(grid, cfg):
         return [
-            ErrorRow(0.0, 0.0, 0.0, 0.0, 0.0, -1.0),
-            ErrorRow(0.03125, 0.0, 0.0, 0.0, 0.0, -1.03125),
-            ErrorRow(0.03125, 0.0, 0.0, 0.0, 0.0, -1.0),
-            ErrorRow(0.125, 0.0, 0.0, 0.0, 0.0, -0.75),
-            ErrorRow(0.5, 0.0, 0.0, 0.0, 0.0, 3.0),
+            0.0, 0.0, 0.0, 0.0, 0.0, -1.0,
+            0.03125, 0.0, 0.0, 0.0, 0.0, -1.03125,
+            0.03125, 0.0, 0.0, 0.0, 0.0, -1.0,
+            0.125, 0.0, 0.0, 0.0, 0.0, -0.75,
+            0.5, 0.0, 0.0, 0.0, 0.0, 3.0,
         ]
 
     monkeypatch.setattr(cli, "error_sweep", sweep)
@@ -393,15 +392,62 @@ def test_error_table_out_file_atomic(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["rows.tsv"]
 
 
+def _oracle_band_violations(rows) -> list[str]:
+    # cli._band_violations as it was, on ErrorRows
+    messages = []
+    for row in rows:
+        if not 0.0 < row.lam <= 0.2:  # outside both bands
+            continue
+        for bound, tol in ((0.05, 0.02), (0.2, 0.15)):
+            if row.lam <= bound and abs(row.normalized + 1.0) > tol:
+                messages.append(
+                    f"lambda {row.lam:.17g}: |normalized + 1| = "
+                    f"{abs(row.normalized + 1.0):.17g} exceeds {tol} "
+                    f"(band up to lambda = {bound})"
+                )
+    return messages
+
+
+# the band edges, their neighbours on each side, zero of both signs, and
+# any float at all
+BAND_LAMBDAS = st.one_of(
+    st.sampled_from([
+        edge for bound in (0.0, 0.05, 0.2)
+        for edge in (math.nextafter(bound, -1.0), bound, math.nextafter(bound, 1.0))
+    ] + [-0.0]),
+    st.floats(),
+)
+# -1 and the four band tolerances from it, their neighbours, and any float,
+# NaN and negatives included
+BAND_NORMALIZED = st.one_of(
+    st.sampled_from([
+        edge for value in (-1.0, -1.02, -0.98, -1.15, -0.85)
+        for edge in (math.nextafter(value, -2.0), value, math.nextafter(value, 0.0))
+    ] + [math.nan, -math.nan]),
+    st.floats(),
+)
+
+
+@given(st.lists(st.tuples(BAND_LAMBDAS, BAND_NORMALIZED), max_size=20), st.floats())
+@example([(0.2, -1.25), (0.05, -1.03125), (0.0, -2.0), (0.03125, math.nan)], 0.0)
+@settings(max_examples=300, deadline=None)
+def test_band_check_reads_flat_values_as_the_row_oracle(pairs, filler):
+    # rows in any order, the middle columns any float
+    values = [
+        v for lam, normalized in pairs for v in (lam, filler, filler, filler, filler, normalized)
+    ]
+    assert cli._band_violations(values) == _oracle_band_violations(rows(values))
+
+
 def _one_shot_error_table(lo, hi, steps):
     # the rendering error-table had before it swept in blocks: one sweep over
     # the whole grid, one join, one band check over every row
     span = hi - lo
     grid = [lo + span * i / steps for i in range(steps + 1)]
-    rows = cli.error_sweep(grid, numeric.DEFAULT_CONFIG)
+    table = rows(cli.error_sweep(grid, numeric.DEFAULT_CONFIG))
     header = "\t".join(numeric.ERROR_TABLE_COLUMNS)
-    text = "\n".join([header, *[cli._ERROR_ROW_FORMAT % row for row in rows], ""])
-    violations = cli._band_violations(rows)
+    text = "\n".join([header, *[cli._ERROR_ROW_FORMAT % row for row in table], ""])
+    violations = _oracle_band_violations(table)
     err = "".join(f"band check failed: {message}\n" for message in violations)
     return 2 if violations else 0, text, err
 
@@ -437,8 +483,8 @@ def test_error_table_band_messages_from_two_blocks_keep_row_order(
 
     def sweep(grid, cfg):
         calls.append(len(grid))
-        return [ErrorRow(lam, 0.0, 0.0, 0.0, 0.0, -1.25 if lam in bad else -1.0)
-                for lam in grid]
+        return [value for lam in grid
+                for value in (lam, 0.0, 0.0, 0.0, 0.0, -1.25 if lam in bad else -1.0)]
 
     monkeypatch.setattr(cli, "error_sweep", sweep)
     expected = _one_shot_error_table(0.0, 0.2, steps)
@@ -466,7 +512,7 @@ def test_error_table_refusal_in_a_later_block_writes_nothing(
         calls.append(len(grid))
         if len(calls) == 2:
             raise numeric.NumericError("refused in the second block")
-        return [ErrorRow(lam, 0.0, 0.0, 0.0, 0.0, -1.25) for lam in grid]
+        return [value for lam in grid for value in (lam, 0.0, 0.0, 0.0, 0.0, -1.25)]
 
     monkeypatch.setattr(cli, "error_sweep", sweep)
     argv = _error_table_argv(0.0, 0.2, 1500)

@@ -2,7 +2,9 @@
 
 import math
 import random
+import struct
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -32,7 +34,7 @@ from invarc.numeric import (
     ramanujan_lambda_sq,
 )
 
-from series_helpers import measurements, whole
+from series_helpers import measurements, rows, whole
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -160,27 +162,26 @@ def test_ramanujan_lambda_sq_domain():
 
 
 def test_sweep_row_at_zero():
-    row = error_sweep([0.0])[0]
-    assert row == ErrorRow(0.0, 0.0, 0.0, 0.0, 0.0, -1.0)
+    assert rows(error_sweep([0.0])) == [ErrorRow(0.0, 0.0, 0.0, 0.0, 0.0, -1.0)]
 
 
 def test_sweep_normalized_pins():
     # the exact-path pins are mpmath's correctly rounded values
-    rows = error_sweep([0.05, 0.2, 0.9])
-    assert rows[0].normalized == -1.0043102599660527
-    assert rows[1].normalized == -1.0723229960222749
-    assert rows[2].normalized == pytest.approx(-9.494997033534705, rel=1e-9)
+    swept = rows(error_sweep([0.05, 0.2, 0.9]))
+    assert swept[0].normalized == -1.0043102599660527
+    assert swept[1].normalized == -1.0723229960222749
+    assert swept[2].normalized == pytest.approx(-9.494997033534705, rel=1e-9)
 
 
 def test_sweep_diff_is_negative_overestimate():
-    for row in error_sweep([0.01, 0.1, 0.3, 0.5, 0.8]):
+    for row in rows(error_sweep([0.01, 0.1, 0.3, 0.5, 0.8])):
         assert row.diff < 0.0
 
 
 def test_sweep_paths_agree_at_the_cutoff():
     # the exact and float paths must tell the same story near the switch
     lam = EXACT_SWEEP_CUTOFF
-    exact_row = error_sweep([lam])[0]
+    exact_row = rows(error_sweep([lam]))[0]
     e = Ellipse(1.0 + lam, 1.0 - lam)
     float_h = h_of(e)
     assert exact_row.h == pytest.approx(float_h, rel=1e-12)
@@ -196,13 +197,11 @@ def test_sweep_rejects_out_of_range():
 
 
 def test_sweep_preserves_input_order():
-    rows = error_sweep([0.2, 0.05, 0.1])
-    assert [r.lam for r in rows] == [0.2, 0.05, 0.1]
+    assert [r.lam for r in rows(error_sweep([0.2, 0.05, 0.1]))] == [0.2, 0.05, 0.1]
 
 
 def test_normalized_tends_to_minus_one():
-    rows = error_sweep([0.2, 0.1, 0.05, 0.02, 0.01])
-    gaps = [abs(r.normalized + 1.0) for r in rows]
+    gaps = [abs(r.normalized + 1.0) for r in rows(error_sweep([0.2, 0.1, 0.05, 0.02, 0.01]))]
     assert gaps == sorted(gaps, reverse=True)
     # the gap scales like lambda^2: ~1.7e-4 at lambda = 0.01
     assert gaps[-1] < 2e-4
@@ -394,9 +393,9 @@ def test_sweep_matches_mpmath_oracle():
     # ellipse a = 1 + lambda, b = 1 - lambda, with E the complete elliptic
     # integral of the second kind at parameter m = 1 - (b/a)^2.
     mpmath = pytest.importorskip("mpmath")
-    rows = error_sweep(ORACLE_LAMBDAS)
+    swept = rows(error_sweep(ORACLE_LAMBDAS))
     with mpmath.workdps(50):
-        for row in rows:
+        for row in swept:
             lam = mpmath.mpf(row.lam)
             a, b = 1 + lam, 1 - lam
             h = 4 * a * mpmath.ellipe(1 - (b / a) ** 2) / (mpmath.pi * (a + b)) - 1
@@ -452,14 +451,14 @@ def _same_row(got: ErrorRow, want: ErrorRow) -> bool:
 
 
 def test_exact_sweep_path_matches_mpmath_over_its_whole_range():
-    for row in error_sweep(WHOLE_RANGE_LAMBDAS):
+    for row in rows(error_sweep(WHOLE_RANGE_LAMBDAS)):
         assert _same_row(row, _mpmath_row(row.lam)), row
 
 
 @given(st.floats(min_value=1e-30, max_value=EXACT_SWEEP_CUTOFF))
 @settings(max_examples=200, deadline=None)
 def test_exact_row_is_correctly_rounded(lam):
-    assert _same_row(error_sweep([lam])[0], _mpmath_row(lam))
+    assert _same_row(rows(error_sweep([lam]))[0], _mpmath_row(lam))
 
 
 @pytest.mark.parametrize("fixture", ["error_table_exact.tsv", "error_table_float.tsv"])
@@ -540,7 +539,7 @@ def test_exact_row_retries_at_twice_the_precision(monkeypatch):
     # is redone at 2P and must come out as the 96-bit pass gives it (32 bits
     # still keep 2P >= s, which the first root needs)
     lams = (5e-324, 1e-150, 1e-3, 2.0**-7, 0.2, EXACT_SWEEP_CUTOFF)
-    want = error_sweep(lams)
+    want = rows(error_sweep(lams))
     precisions = {}
     fixed_point_row = numeric._fixed_point_row
 
@@ -550,7 +549,7 @@ def test_exact_row_retries_at_twice_the_precision(monkeypatch):
 
     monkeypatch.setattr(numeric, "_fixed_point_row", recording)
     monkeypatch.setattr(numeric, "_GUARD_BITS", 32)
-    got = error_sweep(lams)
+    got = rows(error_sweep(lams))
     assert all(_same_row(g, w) for g, w in zip(got, want))
     for lam in lams:
         tried = precisions[lam]
@@ -652,7 +651,7 @@ def test_exact_row_matches_the_fraction_oracle(lam):
     # matches both to the series row's accuracy
     old = _oracle_series_row(lam)
     assert _same_row(old, _oracle_exact_row(lam))
-    got = error_sweep([lam])[0]
+    got = rows(error_sweep([lam]))[0]
     assert (got.lam, got.lambda_sq_true) == (old.lam, old.lambda_sq_true)
     for column in ("h", "lambda_sq_approx"):
         assert abs(getattr(got, column) - getattr(old, column)) <= 2 * math.ulp(getattr(old, column))
@@ -691,10 +690,122 @@ def _row_or_error(compute):
 @settings(max_examples=150, deadline=None)
 def test_float_row_matches_the_ellipse_oracle(lam, abs_tol):
     cfg = PrecisionConfig(abs_tol=abs_tol)
-    got = _row_or_error(lambda: error_sweep([lam], cfg)[0])
+    got = _row_or_error(lambda: rows(error_sweep([lam], cfg))[0])
     want = _row_or_error(lambda: _oracle_float_row(lam, cfg))
     assert got == want
     if isinstance(got, ErrorRow):
         assert [math.copysign(1, v) for v in got] == [math.copysign(1, v) for v in want]
         assert cli._ERROR_ROW_FORMAT % got == "\t".join(f"{v:.17g}" for v in got)
 
+
+
+def _oracle_agm_perimeter(a: float, b: float, tol: float) -> float:
+    """_agm_perimeter as it was, stopping on abs(x - y) > tol."""
+    if b == 0:
+        return 4.0 * a
+    x = 1.0
+    y = b / a
+    csum = 0.5 * (1.0 - y * y)
+    weight = 1.0
+    iterations = 0
+    while abs(x - y) > tol:
+        iterations += 1
+        if iterations > numeric.AGM_MAX_ITER:
+            raise NumericError(f"AGM did not converge in {numeric.AGM_MAX_ITER} iterations")
+        c = 0.5 * (x - y)
+        x, y = 0.5 * (x + y), math.sqrt(x * y)
+        csum += weight * c * c
+        weight *= 2.0
+    m = 0.5 * (x + y)
+    return 2.0 * math.pi * a * (1.0 - csum) / m
+
+
+def _oracle_sweep_float_row(lam: float, tol: float) -> ErrorRow:
+    # h_of on the ellipse (1 + lam, 1 - lam), float for float, without
+    # building an Ellipse: lam in (0, 1) always makes a valid one
+    a = 1.0 + lam
+    b = 1.0 - lam
+    h = _oracle_agm_perimeter(a, b, tol) / (math.pi * (a + b)) - 1.0
+    true = lam * lam
+    approx = ramanujan_lambda_sq(h)
+    diff = true - approx
+    return ErrorRow(lam, h, true, approx, diff, 32.0 * diff / h**6)
+
+
+def _oracle_error_sweep(lambda_grid, cfg=numeric.DEFAULT_CONFIG) -> list[ErrorRow]:
+    """error_sweep as it was, one ErrorRow a row; the flat sweep must give
+    the same floats, bit for bit, and the same refusals."""
+    rows = []
+    for lam in lambda_grid:
+        if not (0.0 <= lam < 1.0):
+            raise NumericError(f"lambda = {lam} outside [0, 1)")
+        if lam == 0.0:
+            rows.append(ErrorRow(0.0, 0.0, 0.0, 0.0, 0.0, -1.0))
+        elif lam <= EXACT_SWEEP_CUTOFF:
+            rows.append(numeric._exact_row(lam))
+        else:
+            rows.append(_oracle_sweep_float_row(lam, cfg.abs_tol))
+    return rows
+
+
+def _bits(values) -> bytes:
+    # the sign of zero and every NaN payload count
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def _cli_grid(lo: float, hi: float, steps: int) -> list[float]:
+    # the lambdas cli._cmd_error_table sweeps
+    return [lo + (hi - lo) * i / steps for i in range(steps + 1)]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        _cli_grid(0.36, 0.99, 50000),
+        _cli_grid(0.0, 0.99, 3000),
+        [0.0, EXACT_SWEEP_CUTOFF, math.nextafter(EXACT_SWEEP_CUTOFF, 1.0), 5e-324, 1 - 2**-53],
+    ],
+    ids=["float-50000", "both-paths-3000", "edges"],
+)
+def test_flat_sweep_matches_the_record_oracle(grid):
+    values = error_sweep(grid)
+    assert len(values) == 6 * len(grid)
+    assert _bits(values) == _bits(list(chain.from_iterable(_oracle_error_sweep(grid))))
+
+
+@pytest.mark.parametrize(
+    "grid, abs_tol",
+    [([1.0], 1e-14), ([-0.1], 1e-14), ([math.nan], 1e-14), ([0.9], 1e-16), ([0.3501], 1e-16)],
+)
+def test_flat_sweep_refuses_as_the_record_oracle(grid, abs_tol):
+    # 0.9 at 1e-16 converges within the cap; 0.3501 there is refused
+    cfg = PrecisionConfig(abs_tol=abs_tol)
+    got = _row_or_error(lambda: _bits(error_sweep(grid, cfg)))
+    want = _row_or_error(lambda: _bits(list(chain.from_iterable(_oracle_error_sweep(grid, cfg)))))
+    assert got == want
+    assert isinstance(got, bytes) == (grid == [0.9])
+
+
+def _agm_or_error(agm, a, b, tol):
+    try:
+        return _bits([agm(a, b, tol)])
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.floats(), st.floats(), st.floats())
+@example(1.5, 0.5, 1e-15)
+@example(1.3501, 0.6499, 1e-16)  # the cap
+@example(1.0, 1.0, -1.0)  # x == y, yet every step passes a negative tol: the cap
+@example(1.0, math.nan, 1e-14)
+@example(math.inf, math.inf, 1e-14)
+@example(1.0, 0.5, math.nan)
+@example(0.0, 1.0, 1e-14)
+@example(1.0, -1.0, 1e-14)
+@settings(max_examples=500, deadline=None)
+def test_agm_stop_rule_matches_the_abs_loop(a, b, tol):
+    # x - y > tol or y - x > tol has abs(x - y) > tol's truth value for
+    # every float, NaN included
+    assert _agm_or_error(numeric._agm_perimeter, a, b, tol) == _agm_or_error(
+        _oracle_agm_perimeter, a, b, tol
+    )
