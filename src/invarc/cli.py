@@ -10,7 +10,9 @@ Subcommands:
     invert          recover semiaxes from perimeter and axis-sum
 
 Exit codes: 0 success, 1 usage error, 2 verification or domain failure or
-an --out file that cannot be written.  Output uses LF line endings and is
+an --out file that cannot be written.  Every layer's refusal type derives
+from ArithmeticError; run() reports any ArithmeticError or ValueError as
+one "error:" line and exit 2.  Output uses LF line endings and is
 byte-identical across runs for a given invocation.  Output starts only
 after every row has been computed and checked, so a command that fails part
 way (an "error:" line, exit 2) prints no partial table and leaves no --out
@@ -33,7 +35,6 @@ from collections.abc import Iterable
 from .numeric import (
     DEFAULT_CONFIG,
     ERROR_TABLE_COLUMNS,
-    NumericError,
     PrecisionConfig,
     error_sweep,
     invert_from_measurements,
@@ -286,19 +287,6 @@ def _cmd_invert(args) -> tuple[list[str], int]:
     return ["\n".join(lines) + "\n"], 0
 
 
-def _symbolic_errors() -> tuple[type[Exception], ...]:
-    """The error types of the symbolic layers loaded so far, for run's
-    except clause, which evaluates this only when an exception reaches it.
-    A layer that was never imported cannot have raised, so none is loaded
-    here."""
-    errors = []
-    for module, name in (("cfrac", "CFracError"), ("series", "SeriesError")):
-        layer = sys.modules.get(f"{__package__}.{module}")
-        if layer is not None:
-            errors.append(getattr(layer, name))
-    return tuple(errors)
-
-
 def run(argv=None) -> int:
     handlers = {
         "verify-series": _cmd_verify_series,
@@ -314,7 +302,7 @@ def run(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (NumericError, ValueError, *_symbolic_errors()) as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = getattr(args, "out", None)

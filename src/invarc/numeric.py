@@ -90,20 +90,6 @@ _GUARD_BITS = 96
 ERROR_TABLE_COLUMNS = ("lambda", "h", "lambda_sq_true", "lambda_sq_approx", "diff", "normalized")
 
 
-class ErrorRow(NamedTuple):
-    """One sweep row in ERROR_TABLE_COLUMNS order, as one exact row returns
-    it; ErrorRow(*values[6 * i:6 * i + 6]) reads row i of error_sweep's flat
-    values.  The first field is `lam` only because `lambda` is a Python
-    keyword; it serializes under the column name "lambda"."""
-
-    lam: float
-    h: float
-    lambda_sq_true: float
-    lambda_sq_approx: float
-    diff: float
-    normalized: float
-
-
 # Empty until first read, so that importing numeric does not load
 # fractions.  Grown only under the lock and only by appending in index
 # order, so every entry below the current length is final and can be read
@@ -258,7 +244,7 @@ def _fixed_point_h(X: int, s: int, P: int) -> tuple[int, int]:
     return N // (2 * A) - one, 2 * steps + 2
 
 
-def _exact_row(lam: float) -> ErrorRow:
+def _exact_row(lam: float) -> tuple[float, ...]:
     """One sweep row, every column correctly rounded, from a fixed-point AGM.
 
     With lambda = m / 2^e, x = lambda^2 is X / 2^s for X = m^2 and s = 2e,
@@ -285,7 +271,7 @@ def _exact_row(lam: float) -> ErrorRow:
     return row
 
 
-def _fixed_point_row(lam: float, X: int, s: int, P: int) -> ErrorRow | None:
+def _fixed_point_row(lam: float, X: int, s: int, P: int) -> tuple[float, ...] | None:
     """_exact_row at P bits, or None when a column's rounding is uncertain."""
     H, E = _fixed_point_h(X, s, P)
     one = 1 << P
@@ -311,14 +297,14 @@ def _fixed_point_row(lam: float, X: int, s: int, P: int) -> ErrorRow | None:
     )
     if low != high:
         return None
-    return ErrorRow(lam, low[0], X / (1 << s), *low[1:])
+    return (lam, low[0], X / (1 << s), *low[1:])
 
 
 def error_sweep(lambda_grid, cfg: PrecisionConfig = DEFAULT_CONFIG) -> list[float]:
     """Evaluate the approximation error row by row over a lambda grid.
 
     Returns one flat list, six floats a row in ERROR_TABLE_COLUMNS order,
-    the rows in input order and no record built per row: h for the ellipse
+    the rows in input order and no record type for a row: h for the ellipse
     of that shape, the exact lambda^2, the closed form, their difference,
     and the difference normalized by -h^6/32 (so normalized -> -1 as
     lambda -> 0; the lambda = 0 row is 0, 0, 0, 0, 0, -1 by that limit).

@@ -1,6 +1,6 @@
 """Series builders, a message matcher, the invert measurement strategy and
-the reading of sweep values as rows that the tests share, and the
-closed-form expansion the package replaced.
+the reading of sweep values as rows (`ErrorRow`, `rows`) that the tests
+share, and the closed-form expansion the package replaced.
 
 The builders (`polynomial`, `scale`, `tail_series`) were once methods of
 `PowerSeries` and of the former `TailClosedForm` record; no code under src/
@@ -12,10 +12,11 @@ that the linear recurrence `cfrac.ramanujan_series` must match.
 import math
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
-from invarc.numeric import ERROR_TABLE_COLUMNS, ErrorRow
+from invarc.numeric import ERROR_TABLE_COLUMNS
 from invarc.series import PowerSeries
 
 # every finite float, subnormals included
@@ -25,6 +26,19 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def whole(message):
     """A pytest.raises match pattern for exactly this message."""
     return f"^{re.escape(message)}$"
+
+
+class ErrorRow(NamedTuple):
+    """One sweep row read by column name, in ERROR_TABLE_COLUMNS order; the
+    package builds no such record.  The first field is `lam` only because
+    `lambda` is a Python keyword."""
+
+    lam: float
+    h: float
+    lambda_sq_true: float
+    lambda_sq_approx: float
+    diff: float
+    normalized: float
 
 
 def rows(values):

@@ -381,6 +381,17 @@ def test_error_table_band_check_failure(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
+def test_a_stray_builtin_arithmetic_error_is_one_error_line(capsys, monkeypatch, error):
+    # run() catches ArithmeticError, the base of every layer's refusal, so a
+    # builtin one exits 2 with its message rather than as a traceback
+    def sweep(grid, cfg):
+        raise error("x")
+
+    monkeypatch.setattr(cli, "error_sweep", sweep)
+    assert invoke(capsys, "error-table") == (2, "", "error: x\n")
+
+
 def test_error_table_out_file_atomic(tmp_path, capsys):
     target = tmp_path / "rows.tsv"
     target.write_text("stale\n")
@@ -754,9 +765,9 @@ def _cold_run(*argv):
         # rows at 0.3 and 0.35 take the exact path, the row at 0.4 the float path
         (("error-table", "--lambda-min", "0.3", "--lambda-max", "0.4", "--steps", "2"), 0),
         (INVERT_ARGS, 0),
-        # refusals: a layer never loaded cannot have raised, so catching its
-        # errors loads nothing (the subnormal invert refusal is left out: its
-        # circle bound loads decimal to rescale pi*sum exactly)
+        # refusals: run() catches them as ArithmeticError or ValueError, so
+        # catching one loads nothing (the subnormal invert refusal is left
+        # out: its circle bound loads decimal to rescale pi*sum exactly)
         (("error-table", "--lambda-min", "0", "--lambda-max", "0.99", "--steps", "3000",
           "--abs-tol", "1e-16"), 2),
         (("invert", "--perimeter", "3", "--sum", "1"), 2),
@@ -771,21 +782,29 @@ def test_float_commands_load_no_symbolic_module(capsys, argv, code):
     assert proc.stderr == expected[2] + "loaded:\n"
 
 
+# what cfrac loads: every symbolic module but the reference tables
+CFRAC_MODULES = set(SYMBOLIC_MODULES) - {"invarc.reference"}
+
+
 @pytest.mark.parametrize(
-    "argv, fixture, tail, loaded",
+    "argv, code, out, err, loaded",
     [
-        (("verify-series", "--order", "12"), "report_order12.txt",
-         "reference check: 52 coefficients match\n", SYMBOLIC_MODULES),
-        (("cfrac", "--depth", "30", "--freeze", "3/4"), "cfrac_depth30_freeze.txt", "",
-         set(SYMBOLIC_MODULES) - {"invarc.reference"}),
+        (("verify-series", "--order", "12"), 0,
+         (FIXTURES / "report_order12.txt").read_text() + "reference check: 52 coefficients match\n",
+         "", SYMBOLIC_MODULES),
+        (("cfrac", "--depth", "30", "--freeze", "3/4"), 0,
+         (FIXTURES / "cfrac_depth30_freeze.txt").read_text(), "", CFRAC_MODULES),
+        # a symbolic layer's refusal reaches run()'s one clause, which names
+        # no layer's error type
+        (("cfrac", "--depth", "6", "--freeze", "3/4", "--freeze-from", "7"), 2, "",
+         "error: freeze index 7 outside 1..6\n", CFRAC_MODULES),
     ],
-    ids=["verify-series", "cfrac"],
+    ids=["verify-series", "cfrac", "cfrac-refused"],
 )
-def test_symbolic_commands_load_their_layers_when_they_run(argv, fixture, tail, loaded):
+def test_symbolic_commands_load_their_layers_when_they_run(argv, code, out, err, loaded):
     proc = _cold_run(*argv)
-    assert proc.returncode == 0
-    assert proc.stdout == (FIXTURES / fixture).read_text() + tail
-    assert proc.stderr == f"loaded: {' '.join(sorted(loaded))}\n"
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert proc.stderr == f"{err}loaded: {' '.join(sorted(loaded))}\n"
 
 
 # Extreme finite values for every float flag (FINITE), subnormals included;

@@ -19,7 +19,6 @@ from invarc.numeric import (
     AGM_MAX_ITER,
     EXACT_SWEEP_CUTOFF,
     Ellipse,
-    ErrorRow,
     Inversion,
     NumericError,
     PrecisionConfig,
@@ -34,7 +33,7 @@ from invarc.numeric import (
     ramanujan_lambda_sq,
 )
 
-from series_helpers import measurements, rows, whole
+from series_helpers import ErrorRow, measurements, rows, whole
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -8,12 +8,15 @@ Likewise each name a module imports must be read in that module, and
 each name a function imports must be read in that function, so neither
 a dead import nor a re-export layer can come back, and each layer raises
 one error type, so an exception subclass must be one that some `except`
-clause tells apart.
+clause tells apart, and every type but the usage error must fall under
+the one refusal clause of `cli.run`.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+from invarc import cli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "invarc"
 
@@ -93,16 +96,10 @@ def test_every_import_is_used_in_its_module():
     assert unused == []
 
 
-def test_every_exception_subclass_is_caught_somewhere():
-    # a layer's base derives from a builtin exception and carries the
-    # refusal in its message; a subclass of it only earns its place when a
-    # caller catches it by name
-    caught = set()
+def _exception_classes() -> list[type]:
+    """Every exception class defined in a module under src/invarc."""
     errors = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ExceptHandler) and node.type is not None:
-                caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
         module = importlib.import_module(f"invarc.{path.stem}")
         errors += [
             value
@@ -112,10 +109,34 @@ def test_every_exception_subclass_is_caught_somewhere():
             and value.__module__ == module.__name__
         ]
     assert errors, "no exception classes found: the package path is wrong"
+    return errors
+
+
+def test_every_exception_subclass_is_caught_somewhere():
+    # a layer's base derives from a builtin exception and carries the
+    # refusal in its message; a subclass of it only earns its place when a
+    # caller catches it by name
+    caught = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
     uncaught = [
         f"{cls.__module__}.{cls.__name__}"
-        for cls in errors
+        for cls in _exception_classes()
         if any(base.__module__ != "builtins" for base in cls.__bases__)
         and cls.__name__ not in caught
     ]
     assert uncaught == []
+
+
+def test_every_refusal_type_is_one_that_run_catches():
+    # cli.run maps a refusal to exit 2 by one clause, except (ArithmeticError,
+    # ValueError), that names no layer's type; a layer error type outside
+    # both would escape it as a traceback
+    outside = [
+        f"{cls.__module__}.{cls.__name__}"
+        for cls in _exception_classes()
+        if cls is not cli.UsageError and not issubclass(cls, (ArithmeticError, ValueError))
+    ]
+    assert outside == []
