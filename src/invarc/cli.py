@@ -13,12 +13,13 @@ Exit codes: 0 success, 1 usage error, 2 verification or domain failure or
 an --out file that cannot be written.  Every layer's refusal type derives
 from ArithmeticError; run() reports any ArithmeticError or ValueError as
 one "error:" line and exit 2.  Output uses LF line endings and is
-byte-identical across runs for a given invocation.  Output starts only
-after every row has been computed and checked, so a command that fails part
-way (an "error:" line, exit 2) prints no partial table and leaves no --out
-file.  --out follows symlinks, writes a regular file atomically (temp file
-in the target directory, then rename) with the mode a plain write would
-give, and writes straight to a FIFO or a device.
+byte-identical across runs for a given invocation.  Every refusal is
+decided before the first byte; error-table then writes its table a block
+at a time and keeps no row, so its memory does not grow with --steps.  A
+crash part way (not a refusal) can leave a partial table on stdout but
+never a partial --out file.  --out follows symlinks, writes a regular file
+atomically (temp file in the target directory, then rename) with the mode
+a plain write would give, and writes straight to a FIFO or a device.
 """
 
 from __future__ import annotations
@@ -28,16 +29,16 @@ import contextlib
 import os
 import sys
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Generator
 
 # the symbolic layers load inside the handlers that run them, so
 # error-table and invert import only this module and numeric
 from .numeric import (
     DEFAULT_CONFIG,
     ERROR_TABLE_COLUMNS,
-    PrecisionConfig,
     error_sweep,
     invert_from_measurements,
+    lambda_refusal,
 )
 
 
@@ -87,8 +88,8 @@ def build_parser() -> _Parser:
                    help="number of partial numerators to extract (default 5)")
     p.add_argument("--freeze", type=_fraction, default=None, metavar="P/Q",
                    help="freeze the tail at this value and solve it in closed form")
-    p.add_argument("--freeze-from", type=_positive_int(1), default=2, metavar="K",
-                   help="1-based index the freeze starts at (default 2)")
+    p.add_argument("--freeze-from", type=_positive_int(1), default=None, metavar="K",
+                   help="1-based index the freeze starts at (default 2; needs --freeze)")
     p.add_argument("--out", help="write output to this file atomically")
 
     p = sub.add_parser("error-table", help="TSV error sweep over a lambda grid")
@@ -96,8 +97,8 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda-max", type=float, default=0.2)
     p.add_argument("--steps", type=_positive_int(1), default=20,
                    help="number of grid intervals; the table has steps+1 rows")
-    p.add_argument("--abs-tol", type=float, default=DEFAULT_CONFIG.abs_tol)
     p.add_argument("--out", help="write output to this file atomically")
+    p.set_defaults(abs_tol=DEFAULT_CONFIG.abs_tol)  # no option; the benchmark's probe reads it
 
     p = sub.add_parser("invert", help="semiaxes from perimeter and axis-sum")
     p.add_argument("--perimeter", type=float, required=True)
@@ -107,13 +108,25 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write_out(pieces: Iterable[str], out: str) -> None:
+_Output = Generator[str, None, int]
+
+
+def _drain(first: str, pieces: _Output, handle) -> int:
+    """Write first and each later piece; return the handler's exit code."""
+    handle.write(first)
+    try:
+        while True:
+            handle.write(next(pieces))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _write_out(first: str, pieces: _Output, out: str) -> int:
     target = os.path.realpath(out)
     if os.path.exists(target) and not os.path.isfile(target):
         # a FIFO or a device is written to, not replaced (a directory fails)
         with open(target, "w", newline="\n") as handle:
-            handle.writelines(pieces)
-        return
+            return _drain(first, pieces, handle)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".invarc-")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
@@ -121,12 +134,13 @@ def _write_out(pieces: Iterable[str], out: str) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.writelines(pieces)
+            code = _drain(first, pieces, handle)
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+    return code
 
 
 # the verify-series tables in print order with their text-format labels,
@@ -141,7 +155,7 @@ _TABLE_LABELS = {
 }
 
 
-def _cmd_verify_series(args) -> tuple[list[str], int]:
+def _cmd_verify_series(args) -> _Output:
     from .derivation import full_report
     from .reference import CFRAC_PARTIALS, REFERENCE_SERIES
 
@@ -152,36 +166,35 @@ def _cmd_verify_series(args) -> tuple[list[str], int]:
     references = {**REFERENCE_SERIES, "cfrac-partials": dict(enumerate(CFRAC_PARTIALS, start=1))}
     tsv = args.format == "tsv"
     lines = ["series\tpower\tcoefficient\tstatus" if tsv else f"working order: {args.order}"]
-    mismatches = []
-    checked = 0
+    mismatches, checked = [], 0
     for name, table in tables.items():
         if not tsv:
             lines.append(f"{_TABLE_LABELS[name]}: " + ", ".join(map(str, table.values())))
         for power, coeff in table.items():
             expected = references[name].get(power)
+            checked += expected is not None
             if expected is None:
                 status = "derived"
+            elif coeff == expected:
+                status = "reference"
             else:
-                checked += 1
-                if coeff == expected:
-                    status = "reference"
-                else:
-                    status = f"mismatch(expected {expected})"
-                    mismatches.append(
-                        f"MISMATCH {name} [{power}]: computed {coeff}, reference {expected}"
-                    )
+                status = f"mismatch(expected {expected})"
+                mismatches.append(
+                    f"MISMATCH {name} [{power}]: computed {coeff}, reference {expected}"
+                )
             if tsv:
                 lines.append(f"{name}\t{power}\t{coeff}\t{status}")
     if not tsv:
-        lines.extend(mismatches)
-        if mismatches:
-            lines.append(f"reference check: {len(mismatches)} of {checked} mismatch")
-        else:
-            lines.append(f"reference check: {checked} coefficients match")
-    return ["\n".join(lines) + "\n"], 2 if mismatches else 0
+        verdict = (f"{len(mismatches)} of {checked} mismatch" if mismatches
+                   else f"{checked} coefficients match")
+        lines += [*mismatches, f"reference check: {verdict}"]
+    yield "\n".join(lines) + "\n"
+    return 2 if mismatches else 0
 
 
-def _cmd_cfrac(args) -> tuple[list[str], int]:
+def _cmd_cfrac(args) -> _Output:
+    if args.freeze is None and args.freeze_from is not None:
+        raise UsageError("--freeze-from needs --freeze")
     from .cfrac import (
         NotInRamanujanShape,
         cfrac_expand,
@@ -200,12 +213,9 @@ def _cmd_cfrac(args) -> tuple[list[str], int]:
         "partial numerators: " + ", ".join(map(str, cf.partials)),
     ]
     if args.freeze is not None:
-        frozen = freeze_tail(cf, args.freeze_from, args.freeze)
-        lines.append(
-            f"frozen from a_{args.freeze_from}: "
-            + ", ".join(map(str, frozen.partials))
-            + " (periodic)"
-        )
+        frozen = freeze_tail(cf, args.freeze_from or 2, args.freeze)
+        partials = ", ".join(map(str, frozen.partials))
+        lines.append(f"frozen from a_{frozen.periodic_from}: {partials} (periodic)")
         lines.append(f"tail closed form: {tail_closed_form(args.freeze)}")
         try:
             closed = collapse_to_closed_form(frozen)
@@ -213,7 +223,8 @@ def _cmd_cfrac(args) -> tuple[list[str], int]:
             lines.append(f"closed form: none ({exc})")
         else:
             lines.append(f"closed form: {closed}")
-    return ["\n".join(lines) + "\n"], 0
+    yield "\n".join(lines) + "\n"
+    return 0
 
 
 def _band_violations(values) -> list[str]:
@@ -237,54 +248,38 @@ def _band_violations(values) -> list[str]:
 # one %-format per row prints each column as f"{value:.17g}" would
 _ERROR_ROW_FORMAT = "\t".join(["%.17g"] * len(ERROR_TABLE_COLUMNS))
 
-# rows per error_sweep call: the table keeps each block as an array of
-# doubles, 8 bytes a value, and only one block's flat list of float
-# objects at a time; a block's text is made only as it is written
+# rows per error_sweep call: a block is swept, band-checked, formatted and
+# written before the next one starts, and nothing of it is kept
 _SWEEP_BLOCK = 1024
 
 
-def _cmd_error_table(args) -> tuple[Iterable[str], int]:
-    from array import array
-
-    if not (0.0 <= args.lambda_min <= args.lambda_max < 1.0):
-        raise UsageError(
-            f"need 0 <= lambda-min <= lambda-max < 1, got "
-            f"{args.lambda_min} and {args.lambda_max}"
-        )
-    cfg = PrecisionConfig(abs_tol=args.abs_tol)
-    span = args.lambda_max - args.lambda_min
-    columns = len(ERROR_TABLE_COLUMNS)
-    blocks = []
+def _cmd_error_table(args) -> _Output:
+    low, high, steps = args.lambda_min, args.lambda_max, args.steps
+    if not (0.0 <= low <= high < 1.0):
+        raise UsageError(f"need 0 <= lambda-min <= lambda-max < 1, got {low} and {high}")
+    span = high - low
+    # the grid never decreases, so only its last point can be refused
+    last = low + span * steps / steps
+    if last >= 1.0:
+        raise lambda_refusal(last)
+    head = "\t".join(ERROR_TABLE_COLUMNS) + "\n"  # written with the first block
     violations = []
-    for first in range(0, args.steps + 1, _SWEEP_BLOCK):
-        block = range(first, min(first + _SWEEP_BLOCK, args.steps + 1))
-        values = error_sweep([args.lambda_min + span * i / args.steps for i in block], cfg)
-        blocks.append(array("d", values))
+    for first in range(0, steps + 1, _SWEEP_BLOCK):
+        block = range(first, min(first + _SWEEP_BLOCK, steps + 1))
+        values = error_sweep([low + span * i / steps for i in block], DEFAULT_CONFIG)
         violations += _band_violations(values)
-    # printed after the last block: a refusal in any block prints its error alone
+        yield head + ((_ERROR_ROW_FORMAT + "\n") * len(block)) % tuple(values)
+        del values  # before the next block is swept
+        head = ""
     for message in violations:
         print(f"band check failed: {message}", file=sys.stderr)
-    # every row is computed and checked by now; the text follows one block
-    # at a time, as run() writes it
-    row_format = _ERROR_ROW_FORMAT + "\n"
-
-    def text():
-        yield "\t".join(ERROR_TABLE_COLUMNS) + "\n"
-        for values in blocks:
-            yield (row_format * (len(values) // columns)) % tuple(values)
-
-    return text(), 2 if violations else 0
+    return 2 if violations else 0
 
 
-def _cmd_invert(args) -> tuple[list[str], int]:
-    inversion = invert_from_measurements(args.perimeter, args.axis_sum)
-    lines = [
-        f"a: {inversion.a:.17g}",
-        f"b: {inversion.b:.17g}",
-        f"lambda: {inversion.lam:.17g}",
-        f"h: {inversion.h:.17g}",
-    ]
-    return ["\n".join(lines) + "\n"], 0
+def _cmd_invert(args) -> _Output:
+    a, b, lam, h = invert_from_measurements(args.perimeter, args.axis_sum)
+    yield f"a: {a:.17g}\nb: {b:.17g}\nlambda: {lam:.17g}\nh: {h:.17g}\n"
+    return 0
 
 
 def run(argv=None) -> int:
@@ -296,7 +291,17 @@ def run(argv=None) -> int:
     }
     try:
         args = build_parser().parse_args(argv)
-        pieces, code = handlers[args.command](args)
+        # a handler refuses, if at all, before its first piece
+        pieces = handlers[args.command](args)
+        first = next(pieces)
+        out = getattr(args, "out", None)
+        if out is None:
+            return _drain(first, pieces, sys.stdout)
+        try:
+            return _write_out(first, pieces, out)
+        except OSError as exc:
+            print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -305,13 +310,3 @@ def run(argv=None) -> int:
     except (ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = getattr(args, "out", None)
-    if out is None:
-        sys.stdout.writelines(pieces)
-        return code
-    try:
-        _write_out(pieces, out)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
-    return code

@@ -300,6 +300,11 @@ def _fixed_point_row(lam: float, X: int, s: int, P: int) -> tuple[float, ...] | 
     return (lam, low[0], X / (1 << s), *low[1:])
 
 
+def lambda_refusal(lam: float) -> NumericError:
+    """The refusal of a sweep lambda outside [0, 1)."""
+    return NumericError(f"lambda = {lam} outside [0, 1)")
+
+
 def error_sweep(lambda_grid, cfg: PrecisionConfig = DEFAULT_CONFIG) -> list[float]:
     """Evaluate the approximation error row by row over a lambda grid.
 
@@ -313,7 +318,7 @@ def error_sweep(lambda_grid, cfg: PrecisionConfig = DEFAULT_CONFIG) -> list[floa
     values = []
     for lam in lambda_grid:
         if not (0.0 <= lam < 1.0):
-            raise NumericError(f"lambda = {lam} outside [0, 1)")
+            raise lambda_refusal(lam)
         if lam == 0.0:
             values += (0.0, 0.0, 0.0, 0.0, 0.0, -1.0)
         elif lam <= EXACT_SWEEP_CUTOFF:

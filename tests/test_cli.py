@@ -8,6 +8,7 @@ import pathlib
 import shlex
 import stat
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -295,6 +296,13 @@ def test_cfrac_freeze_from_out_of_range(capsys):
     assert err != ""
 
 
+def test_cfrac_freeze_from_needs_freeze(capsys):
+    # without --freeze it used to print the plain expansion and exit 0
+    assert invoke(capsys, "cfrac", "--depth", "3", "--freeze-from", "2") == (
+        1, "", "usage error: --freeze-from needs --freeze\n"
+    )
+
+
 def test_error_table_default_grid(capsys):
     code, out, err = invoke(capsys, "error-table")
     assert code == 0
@@ -511,12 +519,30 @@ def test_error_table_band_messages_from_two_blocks_keep_row_order(
     assert calls == [1024, 1024]
 
 
+def _target_argv(argv, tmp_path, target):
+    # argv writing to stdout (None) or to --out rows.tsv, absent or existing
+    out = tmp_path / "rows.tsv"
+    if target == "existing":
+        out.write_text("stale\n")
+    return argv if target is None else [*argv, "--out", str(out)]
+
+
+def _assert_target_untouched(tmp_path, target):
+    # no table, no .invarc-* temp file, and an existing target as it was
+    expected = ["rows.tsv"] if target == "existing" else []
+    assert [p.name for p in tmp_path.iterdir()] == expected
+    if target == "existing":
+        assert (tmp_path / "rows.tsv").read_text() == "stale\n"
+
+
 @pytest.mark.parametrize("target", [None, "absent", "existing"])
 def test_error_table_refusal_in_a_later_block_writes_nothing(
     tmp_path, capsys, monkeypatch, target
 ):
-    # the first block's rows all miss the band, yet the refusal in the
-    # second is the one line printed, as when one sweep covered every row
+    # a failure no check before the sweep can foresee (a fake sweep's, in
+    # the second block) comes after the first block is written: stdout
+    # keeps the header and those 1,024 rows, then the one error line and no
+    # band message though every row misses the band; --out writes nothing
     calls = []
 
     def sweep(grid, cfg):
@@ -526,55 +552,106 @@ def test_error_table_refusal_in_a_later_block_writes_nothing(
         return [value for lam in grid for value in (lam, 0.0, 0.0, 0.0, 0.0, -1.25)]
 
     monkeypatch.setattr(cli, "error_sweep", sweep)
-    argv = _error_table_argv(0.0, 0.2, 1500)
-    out = tmp_path / "rows.tsv"
-    if target == "existing":
-        out.write_text("stale\n")
-    if target is not None:
-        argv += ["--out", str(out)]
+    table = _one_shot_error_table(0.0, 0.2, 1500)[1]
+    first_block = "".join(table.splitlines(keepends=True)[:1025])
+    calls.clear()
+    argv = _target_argv(_error_table_argv(0.0, 0.2, 1500), tmp_path, target)
     code, stdout, err = invoke(capsys, *argv)
-    assert (code, stdout, err) == (2, "", "error: refused in the second block\n")
+    written = first_block if target is None else ""
+    assert (code, stdout, err) == (2, written, "error: refused in the second block\n")
     assert calls == [1024, 477]
-    # no table, no .invarc-* temp file, and an existing target untouched
-    expected = ["rows.tsv"] if target == "existing" else []
-    assert [p.name for p in tmp_path.iterdir()] == expected
-    if target == "existing":
-        assert out.read_text() == "stale\n"
+    _assert_target_untouched(tmp_path, target)
 
 
-def test_error_table_memory_stays_below_its_text(monkeypatch):
-    # the table holds its rows as packed doubles, 48 bytes a row, and makes
-    # its text one block at a time as it is written: traced allocations over
-    # the handler and the writing peak below 0.75x the text (1.15x when the
-    # table held its text)
-    import tracemalloc
+# 0.3 + (0.9999999999999999 - 0.3) * 2049 / 2049 rounds up to 1.0
+OVERSHOOT = ("error-table", "--lambda-min", "0.3", "--lambda-max", "0.9999999999999999",
+             "--steps", "2049")
 
+
+@pytest.mark.parametrize("target", [None, "absent", "existing"])
+def test_error_table_overshoot_is_refused_before_any_row(tmp_path, capsys, monkeypatch, target):
+    # the last grid point is the only one that can leave [0, 1): it is
+    # refused with the sweep's own message before any row is swept
+    calls = []
     real_sweep = cli.error_sweep
-    sizes = []
 
     def sweep(grid, cfg):
-        sizes.append(len(grid))
+        calls.append(len(grid))
         return real_sweep(grid, cfg)
 
     monkeypatch.setattr(cli, "error_sweep", sweep)
-    args = cli.build_parser().parse_args(_error_table_argv(0.36, 0.99, 20000))
-    text_length = lines = 0
-    with open(os.devnull, "w") as sink:
+    argv = _target_argv(list(OVERSHOOT), tmp_path, target)
+    assert invoke(capsys, *argv) == (2, "", "error: lambda = 1.0 outside [0, 1)\n")
+    assert calls == []
+    _assert_target_untouched(tmp_path, target)
+
+
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+
+@given(UNIT, UNIT, st.integers(1, 3000))
+@example(0.3, 0.9999999999999999, 2049)
+@example(0.04071112986544844, 0.12499999999999999, 1)
+@settings(max_examples=100, deadline=None)
+def test_error_table_grid_never_decreases(a, b, steps):
+    # what lets error-table decide its refusals before the first byte: the
+    # grid low + span * i / steps never decreases in i, so its last point
+    # is its maximum, and the CLI sweeps exactly that grid unless the last
+    # point rounds up to 1
+    low, high = sorted((a, b))
+    grid = [low + (high - low) * i / steps for i in range(steps + 1)]
+    assert grid == sorted(grid)
+    assert grid[-1] == max(grid)
+    swept = []
+
+    def sweep(block, cfg):
+        swept.extend(block)
+        return [value for lam in block for value in (lam, 0.0, 0.0, 0.0, 0.0, -1.0)]
+
+    with mock.patch.object(cli, "error_sweep", sweep):
+        code, out = invoke_extreme(_error_table_argv(low, high, steps))
+    if grid[-1] < 1.0:
+        assert (code, swept) == (0, grid)
+    else:
+        assert (code, swept, out) == (2, [], "")
+
+
+def _error_table_peak(steps):
+    # traced allocations over a whole error-table run, its table written
+    # to a sink that keeps only the length; a stand-in sweep gives each row
+    # six distinct floats, as the real one does, many times faster under
+    # tracing than the float AGM
+    import tracemalloc
+
+    def sweep(grid, cfg):
+        return [v for lam in grid for v in (lam, lam / 3, lam * lam, lam + 1, -lam, -1 - lam)]
+
+    class Sink:
+        length = 0
+
+        def write(self, text):
+            self.length += len(text)
+
+    sink = Sink()
+    with mock.patch.object(cli, "error_sweep", sweep), contextlib.redirect_stdout(sink):
         tracemalloc.start()
         try:
-            pieces, code = cli._cmd_error_table(args)
-            for piece in pieces:
-                text_length += len(piece)
-                lines += piece.count("\n")
-                sink.write(piece)
+            code = run(_error_table_argv(0.36, 0.99, steps))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert code == 0
-    assert lines == 20002
-    assert peak < 0.75 * text_length, (peak, text_length)
-    assert sum(sizes) == 20001
-    assert max(sizes) <= cli._SWEEP_BLOCK
+    return peak, sink.length
+
+
+def test_error_table_memory_stays_below_its_text():
+    # the table keeps no row between blocks, so the peak is one block's and
+    # is the same for 80,001 rows as for 20,001; held as packed doubles
+    # (48 bytes a row) it grew by about 2.9 MB between the two
+    small, _ = _error_table_peak(20000)
+    large, text_length = _error_table_peak(80000)
+    assert large <= 1.1 * small, (small, large)
+    assert large < 0.1 * text_length, (large, text_length)
 
 
 def test_invert_output(capsys):
@@ -674,7 +751,6 @@ INVERT_ARGS = ("invert", "--perimeter", "7", "--sum", "2")
 FLOAT_FLAGS = {
     "--lambda-min": ERROR_TABLE_ARGS,
     "--lambda-max": ERROR_TABLE_ARGS,
-    "--abs-tol": ERROR_TABLE_ARGS,
     "--perimeter": INVERT_ARGS,
     "--sum": INVERT_ARGS,
 }
@@ -690,30 +766,16 @@ def test_non_finite_float_flags_are_rejected(capsys, flag, value):
     assert out == ""
 
 
-@pytest.mark.parametrize("value", ["1", "1e300", "1e-3"])
-def test_abs_tol_above_the_ceiling_is_rejected(capsys, value):
-    # a loose AGM stop printed a wrong table with exit 0 (at 1 the AGM ran
-    # no iteration and normalized came out near -2.5e6)
-    code, out, err = invoke(capsys, *ERROR_TABLE_ARGS, "--abs-tol", value)
-    assert code == 2
-    assert out == ""
-    assert "abs_tol must be at most 1e-08" in err
-
-
-def test_abs_tol_at_the_ceiling_matches_the_default(capsys):
-    default = invoke(capsys, *ERROR_TABLE_ARGS)
-    assert invoke(capsys, *ERROR_TABLE_ARGS, "--abs-tol", "1e-8") == default
-    assert default[0] == 0
-
-
-def test_abs_tol_below_float_resolution_still_reports_no_convergence(capsys):
-    code, out, err = invoke(
-        capsys, "error-table", "--lambda-min", "0.3501", "--lambda-max", "0.3501",
-        "--steps", "1", "--abs-tol", "1e-16",
+# a value that changed no byte, one that stalled the float AGM part way
+# through a table, and one that was refused above the 1e-8 ceiling
+@pytest.mark.parametrize("value", ["1e-10", "1e-16", "1"])
+def test_abs_tol_is_not_an_option(capsys, value):
+    assert invoke(capsys, *ERROR_TABLE_ARGS, "--abs-tol", value) == (
+        1, "", f"usage error: unrecognized arguments: --abs-tol {value}\n"
     )
-    assert code == 2
-    assert out == ""
-    assert err == "error: AGM did not converge in 64 iterations\n"
+    # the parser still carries the default, which the benchmark's probe reads
+    args = cli.build_parser().parse_args(list(ERROR_TABLE_ARGS))
+    assert args.abs_tol == numeric.DEFAULT_CONFIG.abs_tol
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -768,8 +830,7 @@ def _cold_run(*argv):
         # refusals: run() catches them as ArithmeticError or ValueError, so
         # catching one loads nothing (the subnormal invert refusal is left
         # out: its circle bound loads decimal to rescale pi*sum exactly)
-        (("error-table", "--lambda-min", "0", "--lambda-max", "0.99", "--steps", "3000",
-          "--abs-tol", "1e-16"), 2),
+        (OVERSHOOT, 2),
         (("invert", "--perimeter", "3", "--sum", "1"), 2),
     ],
     ids=["error-table", "invert", "error-table-refused", "invert-refused"],
@@ -810,8 +871,6 @@ def test_symbolic_commands_load_their_layers_when_they_run(argv, code, out, err,
 # Extreme finite values for every float flag (FINITE), subnormals included;
 # integer flags stay small so that no case builds a huge grid or a deep
 # expansion.
-UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
-ABS_TOL = st.one_of(FINITE, st.floats(min_value=0.0, max_value=1e-8))
 
 
 def flag(name, value):
@@ -827,12 +886,12 @@ def invoke_extreme(argv):
     return code, out.getvalue()
 
 
-@given(st.one_of(FINITE, UNIT), st.one_of(FINITE, UNIT), st.integers(1, 50), ABS_TOL)
+@given(st.one_of(FINITE, UNIT), st.one_of(FINITE, UNIT), st.integers(1, 50))
 @settings(max_examples=60, deadline=None)
-def test_extreme_error_table_flags(lo, hi, steps, abs_tol):
+def test_extreme_error_table_flags(lo, hi, steps):
     invoke_extreme([
         "error-table", flag("--lambda-min", lo), flag("--lambda-max", hi),
-        "--steps", str(steps), flag("--abs-tol", abs_tol),
+        "--steps", str(steps),
     ])
 
 

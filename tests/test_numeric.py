@@ -17,6 +17,7 @@ from invarc import cli, numeric
 from invarc.numeric import (
     ABS_TOL_CEILING,
     AGM_MAX_ITER,
+    DEFAULT_CONFIG,
     EXACT_SWEEP_CUTOFF,
     Ellipse,
     Inversion,
@@ -193,6 +194,28 @@ def test_sweep_rejects_out_of_range():
         error_sweep([1.0])
     with pytest.raises(NumericError, match=whole("lambda = -0.1 outside [0, 1)")):
         error_sweep([-0.1])
+
+
+# lambdas in [0, 1): any of them, subnormals, the exact/float cutoff and
+# its neighbours, and 1 - 2^-k up to the last float below 1
+SWEEP_DOMAIN = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.floats(min_value=0.0, max_value=2.0**-1022, exclude_max=True),
+    st.integers(-4, 4).map(lambda k: EXACT_SWEEP_CUTOFF + k * math.ulp(EXACT_SWEEP_CUTOFF)),
+    st.integers(1, 53).map(lambda k: 1.0 - 2.0**-k),
+)
+
+
+@given(st.lists(SWEEP_DOMAIN, min_size=1, max_size=8))
+@example([0.0, 5e-324, math.nextafter(EXACT_SWEEP_CUTOFF, 1.0), 1.0 - 2.0**-53])
+@settings(max_examples=300, deadline=None)
+def test_sweep_refuses_no_lambda_in_its_domain(grid):
+    # error-table writes each block as soon as it is swept, which is safe
+    # only because no row of a grid inside [0, 1) can be refused at the
+    # default tolerance
+    values = error_sweep(grid, DEFAULT_CONFIG)
+    assert len(values) == 6 * len(grid)
+    assert all(map(math.isfinite, values))
 
 
 def test_sweep_preserves_input_order():
