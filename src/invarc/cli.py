@@ -10,23 +10,28 @@ Subcommands:
     invert          recover semiaxes from perimeter and axis-sum
 
 Exit codes: 0 success, 1 usage error, 2 verification or domain failure or
-an --out file that cannot be written.  Every layer's refusal type derives
-from ArithmeticError; run() reports any ArithmeticError or ValueError as
-one "error:" line and exit 2.  Output uses LF line endings and is
-byte-identical across runs for a given invocation.  Every refusal is
-decided before the first byte; error-table then writes its table a block
-at a time and keeps no row, so its memory does not grow with --steps.  A
-crash part way (not a refusal) can leave a partial table on stdout but
-never a partial --out file.  --out follows symlinks, writes a regular file
-atomically (temp file in the target directory, then rename) with the mode
-a plain write would give, and writes straight to a FIFO or a device.
+output that cannot be written (an --out file, or stdout: a full device, a
+pipe with no reader, a closed descriptor).  Every layer's refusal type
+derives from ArithmeticError; run() reports any ArithmeticError or
+ValueError, or a failed write, as one "error:" line and exit 2.  Output
+uses LF line endings and is byte-identical across runs for a given
+invocation.  Every refusal is decided before the first byte; error-table
+then writes its table a block at a time and keeps no row, so its memory
+does not grow with --steps.  A crash or a failed write part way (not a
+refusal) can leave a partial table on stdout but never a partial --out
+file.  --out follows symlinks, writes a regular file atomically (temp file
+in the target directory, then rename) with the permission bits a plain
+write would leave, the old file's or else 0666 less the umask (not its
+owner or ACLs), and writes straight to a FIFO or a device.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
+import stat
 import sys
 import tempfile
 from collections.abc import Generator
@@ -112,28 +117,36 @@ _Output = Generator[str, None, int]
 
 
 def _drain(first: str, pieces: _Output, handle) -> int:
-    """Write first and each later piece; return the handler's exit code."""
+    """Write first and each later piece, then flush, so that a failed
+    buffered write raises here and not at exit; return the handler's exit
+    code."""
     handle.write(first)
     try:
         while True:
             handle.write(next(pieces))
     except StopIteration as stop:
+        handle.flush()
         return stop.value
 
 
 def _write_out(first: str, pieces: _Output, out: str) -> int:
     target = os.path.realpath(out)
-    if os.path.exists(target) and not os.path.isfile(target):
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:  # a new file gets what open() would give it
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):
         # a FIFO or a device is written to, not replaced (a directory fails)
         with open(target, "w", newline="\n") as handle:
             return _drain(first, pieces, handle)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".invarc-")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            # mkstemp creates the file 0600; give it the mode open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
+            # mkstemp creates the file 0600; a plain write keeps the
+            # target's permission bits
+            os.fchmod(handle.fileno(), mode & 0o777)
             code = _drain(first, pieces, handle)
         os.replace(tmp, target)
     except BaseException:
@@ -295,12 +308,18 @@ def run(argv=None) -> int:
         pieces = handlers[args.command](args)
         first = next(pieces)
         out = getattr(args, "out", None)
-        if out is None:
-            return _drain(first, pieces, sys.stdout)
         try:
-            return _write_out(first, pieces, out)
+            if out is not None:
+                return _write_out(first, pieces, out)
+            if sys.stdout is None:  # the interpreter started with fd 1 closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            return _drain(first, pieces, sys.stdout)
         except OSError as exc:
-            print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+            if out is None and sys.stdout is not None:
+                # what stdout still buffers would fail again at exit (status 120)
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            name = "stdout" if out is None else out
+            print(f"error: cannot write {name}: {exc.strerror or exc}", file=sys.stderr)
             return 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

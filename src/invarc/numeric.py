@@ -189,25 +189,6 @@ def ramanujan_lambda_sq(h: float) -> float:
     return 4.0 * h - 3.0 * h * h / (2.0 + math.sqrt(1.0 - 3.0 * h))
 
 
-def _over(n: int, d: int, k: int) -> float:
-    """n 2^k / d, correctly rounded, for a shift k of either sign."""
-    return (n << k) / d if k >= 0 else n / (d << -k)
-
-
-def _isqrt_near(S: int, T: int) -> int:
-    """isqrt(S^2 - T) for 0 <= T <= S^2, by one division when T is small.
-
-    The root is S - k for the least k with k (2S - k) >= T.  No k below
-    k0 = ceil(T / 2S) qualifies, and if k0^2 < S then (k0 + 1)^2 <= 2S and
-    k0 + 1 does.  The division is tried only when k0 can be that small.
-    """
-    if 2 * T.bit_length() < 3 * S.bit_length():
-        k = -(-T // (2 * S))
-        if k * k < S:
-            return S - k - (k * (2 * S - k) < T)
-    return math.isqrt(S * S - T)
-
-
 def _fixed_point_h(X: int, s: int, P: int) -> tuple[int, int]:
     """h for lambda^2 = X / 2^s as an integer H in units u = 2^-P, and a
     bound E with |H - h/u| <= E.
@@ -216,10 +197,10 @@ def _fixed_point_h(X: int, s: int, P: int) -> tuple[int, int]:
     1 + h = (1 - sum_(n>=2) 2^(n-1) c_n^2) / AGM(1, sqrt(1 - x)), with
     c_n = (a_(n-1) - b_(n-1))/2 from (a_1, b_1) = (1, sqrt(1 - x))
     (Borwein & Borwein, Pi and the AGM, 1987, ch. 1).  The AGM runs on
-    integers A >= B in units u, each step flooring (A + B)/2 and sqrt(AB),
-    until A = B: there AGM(A, B) = A and the rest of the sum is 0.  That
-    rule ends the loop, because A - B falls strictly while it is positive,
-    to at most (A - B)^2/8B + 1 units, and from 1 to 0.
+    integers A >= B in units u, each step the floors (A + B) >> 1 and
+    isqrt(AB), until A = B: there AGM(A, B) = A and the rest of the sum is
+    0.  That rule ends the loop, because A - B falls strictly while it is
+    positive, to at most (A - B)^2/8B + 1 units, and from 1 to 0.
 
     After m steps E = 2m + 2.  For x <= 0.35^2, where dh/dx < 0.254, the
     error is the sum of
@@ -236,10 +217,9 @@ def _fixed_point_h(X: int, s: int, P: int) -> tuple[int, int]:
     weight = 1
     steps = 0
     while A != B:
-        S, T = A + B, (A - B) ** 2
-        N -= weight * T
+        N -= weight * (A - B) ** 2
         weight <<= 1
-        A, B = S >> 1, _isqrt_near(S, T) >> 1  # 4AB = S^2 - T
+        A, B = (A + B) >> 1, math.isqrt(A * B)
         steps += 1
     return N // (2 * A) - one, 2 * steps + 2
 
@@ -253,8 +233,10 @@ def _exact_row(lam: float) -> tuple[float, ...]:
     flooring its root to a unit moves it by under h^2 u, so
     lambda_sq_approx and diff lie within (4E + 1)u of their values at H.
     As diff < 0, normalized = 32 diff/h^6 lies between its values at the
-    low ends of diff and H -+ E and at the high ends, H cut outwards to 128
-    bits; if the diff interval reaches 0 those two values differ in sign.
+    low ends of diff and H -+ E and at the high ends; if the diff interval
+    reaches 0 those two values differ in sign.  Each end divides diff
+    2^(5P + 5 - s) by root (H -+ E)^6 at full width, and that shift is
+    positive, since X < 2^106 gives s <= g + 105 and P >= 6g + 31.
     As |diff| ~ h^6/32 >= 2^-(6g + 17), P = 6g + 96 makes the error about
     (4E + 1) 2^-79 of |diff|.
 
@@ -280,20 +262,18 @@ def _fixed_point_row(lam: float, X: int, s: int, P: int) -> tuple[float, ...] | 
     diff = (X * root << P) - (approx << s)  # over root 2^(P + s)
     e_approx = (4 * E + 1) * root
     e_diff = e_approx << s
-    # h^6 needs only the leading 128 bits of H -+ E, rounded outwards
-    t = max(0, H.bit_length() - 128)
-    shift = 5 * P + 5 - s - 6 * t
+    shift = 5 * P + 5 - s  # 32 diff/h^6 = diff 2^shift / (root H^6) in units
     low = (
         (H - E) / one,
         (approx - e_approx) / (root << P),
         (diff - e_diff) / (root << (P + s)),
-        _over(diff - e_diff, root * ((H - E) >> t) ** 6, shift),
+        ((diff - e_diff) << shift) / (root * (H - E) ** 6),
     )
     high = (
         (H + E) / one,
         (approx + e_approx) / (root << P),
         (diff + e_diff) / (root << (P + s)),
-        _over(diff + e_diff, root * (((H + E) >> t) + 1) ** 6, shift),
+        ((diff + e_diff) << shift) / (root * (H + E) ** 6),
     )
     if low != high:
         return None

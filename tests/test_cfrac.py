@@ -67,6 +67,18 @@ def test_partials_are_depth_independent():
     assert deep.partials[:3] == shallow.partials
 
 
+def test_true_inverse_partials_are_at_least_the_closed_forms_through_order_80():
+    # The paper's reading of criterion 9: a tail 1 - a_k h/(1 - ...) shrinks
+    # as any partial grows, so a fraction whose partials are all at least
+    # the closed form's (1/2, then 3/4 for ever) lies at or below it.  This
+    # explains the closed form's overestimate but does not prove it: it
+    # covers only the first 78 partials.
+    partials = cfrac_expand(true_inverse_series(80), 78).partials
+    assert partials[0] == F(1, 2)
+    assert min(partials[1:]) == F(3, 4)
+    assert [k for k, a in enumerate(partials, start=1) if a == F(3, 4)] == [2, 3]
+
+
 def test_expand_terminating_input():
     s = polynomial([0, 4, -1], 8)  # 4h - h^2 exactly
     cf = cfrac_expand(s, 4)

@@ -8,6 +8,7 @@ import pathlib
 import shlex
 import stat
 from fractions import Fraction
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -138,14 +139,21 @@ def test_verify_series_out_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
 def test_out_file_gets_the_mode_of_a_plain_write(tmp_path, capsys, umask):
-    target = tmp_path / "table.tsv"
+    # a new file gets what open() gives it, 0666 less the umask; a file
+    # that exists keeps its permission bits, as a plain write leaves them
+    modes = {tmp_path / "table.tsv": 0o666 & ~umask}
+    for mode in (0o600, 0o640):
+        target = tmp_path / f"existing-{mode:o}.tsv"
+        target.write_text("stale\n")
+        target.chmod(mode)
+        modes[target] = mode
     previous = os.umask(umask)
     try:
-        code, _, _ = invoke(capsys, "verify-series", "--out", str(target))
+        codes = [invoke(capsys, "verify-series", "--out", str(target))[0] for target in modes]
     finally:
         os.umask(previous)
-    assert code == 0
-    assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert codes == [0] * len(modes)
+    assert {target: target.stat().st_mode & 0o777 for target in modes} == modes
 
 
 @pytest.mark.parametrize("name", ["missing/table.tsv", "a_directory"])
@@ -632,6 +640,9 @@ def _error_table_peak(steps):
         def write(self, text):
             self.length += len(text)
 
+        def flush(self):  # run() flushes stdout after the last piece
+            pass
+
     sink = Sink()
     with mock.patch.object(cli, "error_sweep", sweep), contextlib.redirect_stdout(sink):
         tracemalloc.start()
@@ -776,6 +787,83 @@ def test_abs_tol_is_not_an_option(capsys, value):
     # the parser still carries the default, which the benchmark's probe reads
     args = cli.build_parser().parse_args(list(ERROR_TABLE_ARGS))
     assert args.abs_tol == numeric.DEFAULT_CONFIG.abs_tol
+
+
+# A failed write to stdout is exit 2 and one error: line.  Each case runs
+# in a fresh interpreter and checks its whole stderr, which leaves room for
+# neither a traceback nor the "Exception ignored" report of an interpreter
+# whose last flush of stdout fails again.
+FLOAT_TABLE_ARGS = ("error-table", "--lambda-min", "0.36", "--lambda-max", "0.99", "--steps", "50000")
+
+
+def _invarc(*argv, **kwargs):
+    import subprocess
+    import sys
+
+    # stdout block-buffered, as by default, so that a write can fail late
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.Popen(
+        [sys.executable, "-m", "invarc", *argv], stderr=subprocess.PIPE, text=True, env=env, **kwargs
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [INVERT_ARGS, FLOAT_TABLE_ARGS], ids=["invert", "error-table"])
+def test_a_full_stdout_is_one_error_line(argv):
+    with open("/dev/full", "w") as full, _invarc(*argv, stdout=full) as proc:
+        err = proc.stderr.read()
+    assert (proc.wait(), err) == (2, "error: cannot write stdout: No space left on device\n")
+
+
+def test_a_pipe_closed_after_one_line_is_one_error_line():
+    import subprocess
+
+    with _invarc(*FLOAT_TABLE_ARGS, stdout=subprocess.PIPE) as proc:
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert header == "\t".join(numeric.ERROR_TABLE_COLUMNS) + "\n"
+    assert (proc.wait(), err) == (2, "error: cannot write stdout: Broken pipe\n")
+
+
+def test_a_pipe_without_a_reader_is_one_error_line():
+    # the whole output sits in stdout's buffer until the flush fails
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "w") as pipe, _invarc(*INVERT_ARGS, stdout=pipe) as proc:
+        err = proc.stderr.read()
+    assert (proc.wait(), err) == (2, "error: cannot write stdout: Broken pipe\n")
+
+
+def test_a_closed_stdout_is_one_error_line():
+    # the interpreter starts with fd 1 closed, so sys.stdout is None
+    with _invarc("verify-series", preexec_fn=lambda: os.close(1)) as proc:
+        err = proc.stderr.read()
+    assert (proc.wait(), err) == (2, "error: cannot write stdout: Bad file descriptor\n")
+
+
+# every command's flags, each also offered to the other commands, and
+# values from valid through refused to unparsable
+ARGV_FLAGS = {
+    "verify-series": ("--order", "--format"),
+    "cfrac": ("--depth", "--freeze", "--freeze-from"),
+    "error-table": ("--lambda-min", "--lambda-max", "--steps"),
+    "invert": ("--perimeter", "--sum"),
+}
+ARGV_VALUES = (
+    "nan", "inf", "-inf", "1e400", "-1e400", "5e-324", "-5e-324", "1/0", "", "x",
+    "0", "1", "-1", "2", "8", "12", "0.35", "0.99", "3/4", "7/8", "text", "tsv",
+)
+
+
+@given(
+    st.sampled_from(sorted(ARGV_FLAGS)),
+    st.lists(st.tuples(st.sampled_from(sorted(chain(*ARGV_FLAGS.values()))),
+                       st.sampled_from(ARGV_VALUES)), max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_random_argv_exits_0_1_or_2_and_never_raises(command, flags):
+    invoke_extreme([command, *(f"{flag}={value}" for flag, value in flags)])
 
 
 def test_runtime_imports_only_the_standard_library():

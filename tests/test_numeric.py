@@ -496,44 +496,89 @@ def test_exact_path_fixture_rows_are_mpmath_values(fixture):
     assert checked == {"error_table_exact.tsv": 350, "error_table_float.tsv": 1}[fixture]
 
 
+def _isqrt_near(S: int, T: int) -> int:
+    """isqrt(S^2 - T) for 0 <= T <= S^2, by one division when T is small.
+
+    The root is S - k for the least k with k (2S - k) >= T.  No k below
+    k0 = ceil(T / 2S) qualifies, and if k0^2 < S then (k0 + 1)^2 <= 2S and
+    k0 + 1 does.  The division is tried only when k0 can be that small.
+    """
+    if 2 * T.bit_length() < 3 * S.bit_length():
+        k = -(-T // (2 * S))
+        if k * k < S:
+            return S - k - (k * (2 * S - k) < T)
+    return math.isqrt(S * S - T)
+
+
 @given(st.integers(min_value=1, max_value=2**300), st.data())
 @settings(max_examples=300)
 def test_isqrt_near_is_the_floor_root(S, data):
-    # T = 2Sk - j with j < k^2 is where ceil(T / 2S) = k falls one short;
-    # k up to sqrt(S) + 1 reaches the edge of the one-division case
+    # the oracle's own check: T = 2Sk - j with j < k^2 is where
+    # ceil(T / 2S) = k falls one short; k up to sqrt(S) + 1 reaches the
+    # edge of the one-division case
     k = data.draw(st.integers(min_value=1, max_value=math.isqrt(S) + 1))
     j = data.draw(st.integers(min_value=0, max_value=k * k))
     for T in (min(S * S, max(0, 2 * S * k - j)), data.draw(st.integers(0, S * S))):
-        assert numeric._isqrt_near(S, T) == math.isqrt(S * S - T), (S, T)
+        assert _isqrt_near(S, T) == math.isqrt(S * S - T), (S, T)
 
 
 def _oracle_fixed_point_h(X: int, s: int, P: int) -> tuple[int, int]:
-    """_fixed_point_h with a full integer root at every AGM step."""
-    A = 1 << P
+    """_fixed_point_h as it was before the plain step: each AGM step from
+    S = A + B and T = (A - B)^2, with 4AB = S^2 - T, and its root by one
+    division where _isqrt_near can, since isqrt(4n) >> 1 == isqrt(n)."""
+    one = 1 << P
+    A = one
     B = math.isqrt(((1 << s) - X) << (2 * P - s))
-    N = A << (P + 1)
+    N = one << (P + 1)
     weight = 1
     steps = 0
     while A != B:
-        N -= weight * (A - B) ** 2
+        S, T = A + B, (A - B) ** 2
+        N -= weight * T
         weight <<= 1
-        A, B = (A + B) >> 1, math.isqrt(A * B)
+        A, B = S >> 1, _isqrt_near(S, T) >> 1
         steps += 1
-    return N // (2 * A) - (1 << P), 2 * steps + 2
+    return N // (2 * A) - one, 2 * steps + 2
 
 
 @given(st.floats(min_value=0, max_value=EXACT_SWEEP_CUTOFF, exclude_min=True, allow_subnormal=True))
 @example(5e-324)
 @example(EXACT_SWEEP_CUTOFF)
 @settings(max_examples=150, deadline=None)
-def test_fixed_point_h_matches_the_plain_agm(lam):
-    # the steps that replace the root by one division floor sqrt(AB) exactly
+def test_fixed_point_h_matches_the_one_division_root_oracle(lam):
+    # the oracle's steps that replace the root by one division floor
+    # sqrt(AB) exactly, so both give the same H and E
     m, d = lam.as_integer_ratio()
     s = 2 * (d.bit_length() - 1)
     X = m * m
     g = s + 1 - X.bit_length()
     for P in (6 * g + 32, 6 * g + 96, 12 * g + 192):
         assert numeric._fixed_point_h(X, s, P) == _oracle_fixed_point_h(X, s, P)
+
+
+@given(st.floats(min_value=0, max_value=EXACT_SWEEP_CUTOFF, exclude_min=True, allow_subnormal=True))
+@example(5e-324)
+@example(math.nextafter(2.0**-1021, 0))  # 53-bit mantissa, the largest s
+@example(EXACT_SWEEP_CUTOFF)
+@example(math.nextafter(EXACT_SWEEP_CUTOFF, 0))
+@settings(max_examples=60, deadline=None)
+def test_normalized_shift_is_positive_at_every_precision(lam):
+    # normalized divides diff 2^(5P + 5 - s) by root h^6; a negative shift
+    # would raise ValueError, which run() would print as an error: line.
+    # 32 guard bits are the retry test's, and every retry doubles P.
+    fixed_point_row = numeric._fixed_point_row
+    shifts = []
+
+    def recording(lam, X, s, P):
+        shifts.append(5 * P + 5 - s)
+        return fixed_point_row(lam, X, s, P)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numeric, "_fixed_point_row", recording)
+        for guard_bits in (96, 32):
+            patch.setattr(numeric, "_GUARD_BITS", guard_bits)
+            error_sweep([lam])
+    assert shifts and min(shifts) > 0, (lam, shifts)
 
 
 def test_fixed_point_h_stays_within_its_bound():
