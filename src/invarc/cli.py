@@ -9,12 +9,20 @@ Subcommands:
     error-table     sweep the closed-form error over a lambda grid (TSV)
     invert          recover semiaxes from perimeter and axis-sum
 
+A plain argv, the command and then "--flag value" pairs, each flag spelled
+as declared, no value starting with "-", every value accepted and every
+required flag given, is read from the option table without argparse.
+Any other argv (--help, --flag=value, an abbreviation, a negative value,
+a usage error) goes to argparse, built from the same table.
+
 Exit codes: 0 success, 1 usage error, 2 verification or domain failure or
 output that cannot be written (an --out file, or stdout: a full device, a
 pipe with no reader, a closed descriptor).  Every layer's refusal type
 derives from ArithmeticError; run() reports any ArithmeticError or
-ValueError, or a failed write, as one "error:" line and exit 2.  Output
-uses LF line endings and is byte-identical across runs for a given
+ValueError, or a failed write, as one "error:" line and exit 2.  If
+stderr cannot take that line or a "usage error:" line either, fd 2 is
+pointed at os.devnull and run() returns the same code with no message.
+Output uses LF line endings and is byte-identical across runs for a given
 invocation.  Every refusal is decided before the first byte; error-table
 then writes its table a block at a time and keeps no row, so its memory
 does not grow with --steps.  A crash or a failed write part way (not a
@@ -27,7 +35,6 @@ owner or ACLs), and writes straight to a FIFO or a device.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import errno
 import os
@@ -35,6 +42,7 @@ import stat
 import sys
 import tempfile
 from collections.abc import Generator
+from types import SimpleNamespace
 
 # the symbolic layers load inside the handlers that run them, so
 # error-table and invert import only this module and numeric
@@ -51,9 +59,8 @@ class UsageError(Exception):
     """Bad arguments; mapped to exit code 1."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); route through run()
-        raise UsageError(message)
+class _BadValue(ValueError):
+    """A converter's refusal, which argparse prints as it stands."""
 
 
 def _positive_int(floor: int):
@@ -61,9 +68,9 @@ def _positive_int(floor: int):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+            raise _BadValue(f"not an integer: {text!r}")
         if value < floor:
-            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+            raise _BadValue(f"must be at least {floor}, got {value}")
         return value
 
     return parse
@@ -75,42 +82,7 @@ def _fraction(text: str):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="invarc", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-series", help="derive and check the series pipeline")
-    p.add_argument("--order", type=_positive_int(8), default=12,
-                   help="working truncation order (default 12, minimum 8)")
-    p.add_argument("--format", choices=("text", "tsv"), default="text")
-    p.add_argument("--out", help="write output to this file atomically")
-
-    p = sub.add_parser("cfrac", help="continued-fraction view of the true inverse")
-    p.add_argument("--depth", type=_positive_int(1), default=5,
-                   help="number of partial numerators to extract (default 5)")
-    p.add_argument("--freeze", type=_fraction, default=None, metavar="P/Q",
-                   help="freeze the tail at this value and solve it in closed form")
-    p.add_argument("--freeze-from", type=_positive_int(1), default=None, metavar="K",
-                   help="1-based index the freeze starts at (default 2; needs --freeze)")
-    p.add_argument("--out", help="write output to this file atomically")
-
-    p = sub.add_parser("error-table", help="TSV error sweep over a lambda grid")
-    p.add_argument("--lambda-min", type=float, default=0.0)
-    p.add_argument("--lambda-max", type=float, default=0.2)
-    p.add_argument("--steps", type=_positive_int(1), default=20,
-                   help="number of grid intervals; the table has steps+1 rows")
-    p.add_argument("--out", help="write output to this file atomically")
-    p.set_defaults(abs_tol=DEFAULT_CONFIG.abs_tol)  # no option; the benchmark's probe reads it
-
-    p = sub.add_parser("invert", help="semiaxes from perimeter and axis-sum")
-    p.add_argument("--perimeter", type=float, required=True)
-    p.add_argument("--sum", type=float, required=True, dest="axis_sum",
-                   help="a + b, the axis sum the shape parameter is relative to")
-
-    return parser
+        raise _BadValue(f"not a fraction: {text!r}")
 
 
 _Output = Generator[str, None, int]
@@ -295,17 +267,107 @@ def _cmd_invert(args) -> _Output:
     return 0
 
 
+# Each command's handler, help line, options (flag -> add_argument's
+# keywords) and the defaults no option sets.  _read_plain reads "type"
+# (none keeps the text), "choices", "default", "required" and "dest"
+# (else the flag less its "--", with "_" for "-") as argparse does.
+_COMMANDS = {
+    "verify-series": (_cmd_verify_series, "derive and check the series pipeline", {
+        "--order": {"type": _positive_int(8), "default": 12,
+                    "help": "working truncation order (default 12, minimum 8)"},
+        "--format": {"choices": ("text", "tsv"), "default": "text"},
+        "--out": {"help": "write output to this file atomically"},
+    }, {}),
+    "cfrac": (_cmd_cfrac, "continued-fraction view of the true inverse", {
+        "--depth": {"type": _positive_int(1), "default": 5,
+                    "help": "number of partial numerators to extract (default 5)"},
+        "--freeze": {"type": _fraction, "metavar": "P/Q",
+                     "help": "freeze the tail at this value and solve it in closed form"},
+        "--freeze-from": {"type": _positive_int(1), "metavar": "K",
+                          "help": "1-based index the freeze starts at (default 2; needs --freeze)"},
+        "--out": {"help": "write output to this file atomically"},
+    }, {}),
+    "error-table": (_cmd_error_table, "TSV error sweep over a lambda grid", {
+        "--lambda-min": {"type": float, "default": 0.0},
+        "--lambda-max": {"type": float, "default": 0.2},
+        "--steps": {"type": _positive_int(1), "default": 20,
+                    "help": "number of grid intervals; the table has steps+1 rows"},
+        "--out": {"help": "write output to this file atomically"},
+    }, {"abs_tol": DEFAULT_CONFIG.abs_tol}),  # no option; the benchmark's probe reads it
+    "invert": (_cmd_invert, "semiaxes from perimeter and axis-sum", {
+        "--perimeter": {"type": float, "required": True},
+        "--sum": {"type": float, "required": True, "dest": "axis_sum",
+                  "help": "a + b, the axis sum the shape parameter is relative to"},
+    }, {}),
+}
+
+
+def build_parser():
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse would exit(2); route through run()
+            raise UsageError(message)
+
+    def typed(convert):
+        # argparse prints an ArgumentTypeError as it stands, a ValueError as "invalid float value"
+        def parse(text):
+            try:
+                return convert(text)
+            except _BadValue as exc:
+                raise argparse.ArgumentTypeError(str(exc))
+
+        parse.__name__ = convert.__name__
+        return parse
+
+    parser = Parser(prog="invarc", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, summary, options, defaults) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **{**keywords, "type": typed(keywords.get("type", str))})
+        p.set_defaults(**defaults)
+    return parser
+
+
+def _read_plain(argv) -> SimpleNamespace | None:
+    """build_parser().parse_args(argv), without argparse, or None if argv is not plain."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, _, options, defaults = _COMMANDS[argv[0]]
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        keywords = options.get(flag)
+        if keywords is None or text.startswith("-"):
+            return None
+        try:
+            given[flag] = keywords.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in keywords and given[flag] not in keywords["choices"]:
+            return None
+    values = {"command": argv[0], **defaults}
+    for flag, keywords in options.items():
+        if keywords.get("required") and flag not in given:
+            return None
+        dest = keywords.get("dest", flag[2:].replace("-", "_"))
+        values[dest] = given.get(flag, keywords.get("default"))
+    return SimpleNamespace(**values)
+
+
+def _to_devnull(fd: int) -> None:
+    """Point fd at os.devnull, so that what its stream still buffers cannot
+    fail again at the interpreter's last flush (status 120)."""
+    with open(os.devnull, "wb") as null:
+        os.dup2(null.fileno(), fd)
+
+
 def run(argv=None) -> int:
-    handlers = {
-        "verify-series": _cmd_verify_series,
-        "cfrac": _cmd_cfrac,
-        "error-table": _cmd_error_table,
-        "invert": _cmd_invert,
-    }
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = _read_plain(argv) or build_parser().parse_args(argv)
         # a handler refuses, if at all, before its first piece
-        pieces = handlers[args.command](args)
+        pieces = _COMMANDS[args.command][0](args)
         first = next(pieces)
         out = getattr(args, "out", None)
         try:
@@ -316,16 +378,17 @@ def run(argv=None) -> int:
             return _drain(first, pieces, sys.stdout)
         except OSError as exc:
             if out is None and sys.stdout is not None:
-                # what stdout still buffers would fail again at exit (status 120)
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                _to_devnull(sys.stdout.fileno())
             name = "stdout" if out is None else out
-            print(f"error: cannot write {name}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
+            code, line = 2, f"error: cannot write {name}: {exc.strerror or exc}"
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        code, line = 1, f"usage error: {exc}"
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (ArithmeticError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, line = 2, f"error: {exc}"
+    try:  # the code stands even when stderr cannot take the line
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(sys.stderr.fileno())
+    return code

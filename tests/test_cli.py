@@ -42,8 +42,14 @@ def test_unknown_command(capsys):
     assert "invalid choice" in err
 
 
-def test_help_exits_zero(capsys):
-    assert run(["--help"]) == 0
+def test_help_exits_zero(capsys, monkeypatch):
+    # argparse prints every help text: the top level's and each command's
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli.build_parser()
+    (commands,) = [action.choices for action in parser._actions if action.dest == "command"]
+    for argv, shown in [((), parser), *(((name,), sub) for name, sub in commands.items())]:
+        assert invoke(capsys, *argv, "--help") == (0, shown.format_help(), "")
+    assert list(commands) == ["verify-series", "cfrac", "error-table", "invert"]
 
 
 def test_verify_series_text(capsys):
@@ -803,7 +809,8 @@ def _invarc(*argv, **kwargs):
     # stdout block-buffered, as by default, so that a write can fail late
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     return subprocess.Popen(
-        [sys.executable, "-m", "invarc", *argv], stderr=subprocess.PIPE, text=True, env=env, **kwargs
+        [sys.executable, "-m", "invarc", *argv], text=True, env=env,
+        **{"stderr": subprocess.PIPE, **kwargs},
     )
 
 
@@ -842,6 +849,42 @@ def test_a_closed_stdout_is_one_error_line():
     assert (proc.wait(), err) == (2, "error: cannot write stdout: Bad file descriptor\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, stdout, code",
+    [
+        (("invert", "--perimeter", "3", "--sum", "1"), os.devnull, 2),
+        (INVERT_ARGS, "/dev/full", 2),
+        (("verify-series", "--order", "5"), os.devnull, 1),
+    ],
+    ids=["refusal", "failed-write", "usage-error"],
+)
+def test_a_full_stderr_keeps_the_exit_code(argv, stdout, code):
+    # the error: or usage error: line is lost, and so is no exit code
+    with open(stdout, "w") as out, open("/dev/full", "w") as err:
+        with _invarc(*argv, stdout=out, stderr=err) as proc:
+            pass
+    assert proc.wait() == code
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_failed_writes_leave_no_descriptor_open(capsys, monkeypatch):
+    import sys
+
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        with open("/dev/full", "w") as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            assert run(list(INVERT_ARGS)) == 2
+            with open("/dev/full", "w") as full_err:
+                monkeypatch.setattr(sys, "stderr", full_err)
+                assert run(["invert", "--perimeter", "3", "--sum", "1"]) == 2
+            monkeypatch.undo()
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n" * 5
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 # every command's flags, each also offered to the other commands, and
 # values from valid through refused to unparsable
 ARGV_FLAGS = {
@@ -866,6 +909,63 @@ def test_random_argv_exits_0_1_or_2_and_never_raises(command, flags):
     invoke_extreme([command, *(f"{flag}={value}" for flag, value in flags)])
 
 
+# Tokens for argv that the plain reader must read as argparse does, or
+# decline: commands and flags, spellings only argparse reads, and values
+# from valid through signed, odd (sign, underscore, fullwidth digit, empty,
+# leading space), non-finite and unparsable
+ORACLE_COMMANDS = (*ARGV_FLAGS, "bogus", "--help", "--order")
+ORACLE_FLAGS = (*chain(*ARGV_FLAGS.values()), "--out", "--ord", "--lambda-m", "--", "-h", "--help")
+ORACLE_VALUES = (
+    "40", "+5", "1_0", "\uff18", "", " 3", "-0.5", "-1e-3", "nan", "inf", "1e400", "5e-324",
+    "3/4", "1/0", "x", "12", "0.3", "tsv",
+)
+# the benchmark's argv, each of which must be read without argparse
+BENCHMARK_ARGV = [
+    ["verify-series", "--order", "40", "--format", "tsv"],
+    ["error-table", "--lambda-min", "1.2345e-05", "--lambda-max", "0.345", "--steps", "1000"],
+    ["error-table", "--lambda-min", "0.3612345", "--lambda-max", "0.99", "--steps", "50000"],
+]
+
+
+@st.composite
+def oracle_argv(draw):
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS)) | st.sampled_from(ORACLE_COMMANDS))
+    # mostly the command's own flags, each with a value, so that many argv
+    # are plain and the reader's every check is reached
+    own = st.sampled_from((*ARGV_FLAGS.get(command, ()), "--out"))
+    flags = st.one_of(own, own, own, st.sampled_from(ORACLE_FLAGS))
+    values = st.sampled_from(ORACLE_VALUES)
+    pair = st.tuples(flags, values)
+    joined = st.builds("{}={}".format, flags, values).map(lambda token: (token,))
+    items = draw(st.lists(st.one_of(pair, pair, pair, joined, st.tuples(flags | values)), max_size=5))
+    return [command, *chain(*items)]
+
+
+@given(oracle_argv())
+@example(BENCHMARK_ARGV[0])
+@example(BENCHMARK_ARGV[1])
+@example(BENCHMARK_ARGV[2])
+@example(["cfrac", "--depth", "4", "--freeze", "3/4", "--freeze-from", "2", "--out", "x"])
+@example(list(INVERT_ARGS))
+@example([])
+# one argv that argparse refuses for each check of the reader: a value it
+# takes for an option, a choice, a floor, a required flag, a missing value
+@example(["error-table", "--lambda-min", "-1e-3"])
+@example(["verify-series", "--format", "xml"])
+@example(["verify-series", "--order", "5"])
+@example(["invert", "--perimeter", "7"])
+@example(["cfrac", "--depth", "4", "--freeze"])
+@settings(max_examples=400, deadline=None)
+def test_plain_reader_reads_as_argparse_or_declines(argv):
+    read = cli._read_plain(argv)
+    if read is None:
+        assert argv not in BENCHMARK_ARGV
+        return
+    parsed = cli.build_parser().parse_args(argv)  # raises on a usage error or --help
+    # key for key and value for value, nan included, types by their repr
+    assert {k: repr(v) for k, v in vars(read).items()} == {k: repr(v) for k, v in vars(parsed).items()}
+
+
 def test_runtime_imports_only_the_standard_library():
     import subprocess
     import sys
@@ -883,21 +983,26 @@ def test_runtime_imports_only_the_standard_library():
     foreign = {"scipy", "mpmath", "sympy", "hypothesis", "numpy"}
     assert [m for m in loaded if m.split(".")[0] in foreign] == []
     # the records are NamedTuples: dataclasses and the inspect machinery it
-    # pulls in would more than double the import time
-    assert [m for m in loaded if m in ("dataclasses", "inspect")] == []
+    # pulls in would more than double the import time; argparse loads only
+    # when a run needs it
+    assert [m for m in loaded if m in ("dataclasses", "inspect", *ARGPARSE_MODULES)] == []
 
 
 # What only verify-series and cfrac need; the float commands load none of it.
 SYMBOLIC_MODULES = (
     "fractions", "decimal", "invarc.series", "invarc.cfrac", "invarc.derivation", "invarc.reference",
 )
+# What only --help and an argv that is not plain (a usage error, --flag=value,
+# an abbreviation) need; a plain argv is read without them.
+ARGPARSE_MODULES = ("argparse", "gettext", "locale")
 # one run of the CLI in a fresh interpreter; a last stderr line names the
-# symbolic modules it loaded
+# symbolic and argparse modules it loaded
 COLD_RUN = (
     "import sys\n"
     "from invarc.cli import run\n"
     "code = run(sys.argv[1:])\n"
-    f"print('loaded:', *sorted(set({SYMBOLIC_MODULES!r}) & set(sys.modules)), file=sys.stderr)\n"
+    f"watched = {SYMBOLIC_MODULES + ARGPARSE_MODULES!r}\n"
+    "print('loaded:', *sorted(set(watched) & set(sys.modules)), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
@@ -906,29 +1011,37 @@ def _cold_run(*argv):
     import subprocess
     import sys
 
-    return subprocess.run([sys.executable, "-c", COLD_RUN, *argv], capture_output=True, text=True)
+    env = {**os.environ, "COLUMNS": "80"}  # as in-process help is formatted
+    return subprocess.run([sys.executable, "-c", COLD_RUN, *argv], capture_output=True, text=True,
+                          env=env)
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, loaded",
     [
         # rows at 0.3 and 0.35 take the exact path, the row at 0.4 the float path
-        (("error-table", "--lambda-min", "0.3", "--lambda-max", "0.4", "--steps", "2"), 0),
-        (INVERT_ARGS, 0),
+        (("error-table", "--lambda-min", "0.3", "--lambda-max", "0.4", "--steps", "2"), 0, ()),
+        (INVERT_ARGS, 0, ()),
         # refusals: run() catches them as ArithmeticError or ValueError, so
         # catching one loads nothing (the subnormal invert refusal is left
         # out: its circle bound loads decimal to rescale pi*sum exactly)
-        (OVERSHOOT, 2),
-        (("invert", "--perimeter", "3", "--sum", "1"), 2),
+        (OVERSHOOT, 2, ()),
+        (("invert", "--perimeter", "3", "--sum", "1"), 2, ()),
+        # argparse reads every argv that is not plain and prints every help
+        (("--help",), 0, ARGPARSE_MODULES),
+        (("invert", "--help"), 0, ARGPARSE_MODULES),
+        (("invert", "--perimeter=7", "--sum", "2"), 0, ARGPARSE_MODULES),
     ],
-    ids=["error-table", "invert", "error-table-refused", "invert-refused"],
+    ids=["error-table", "invert", "error-table-refused", "invert-refused",
+         "help", "invert-help", "flag=value"],
 )
-def test_float_commands_load_no_symbolic_module(capsys, argv, code):
+def test_float_commands_load_no_symbolic_module(capsys, monkeypatch, argv, code, loaded):
     proc = _cold_run(*argv)
+    monkeypatch.setenv("COLUMNS", "80")
     expected = invoke(capsys, *argv)
     assert expected[0] == code
     assert (proc.returncode, proc.stdout) == (code, expected[1])
-    assert proc.stderr == expected[2] + "loaded:\n"
+    assert proc.stderr == expected[2] + " ".join(["loaded:", *sorted(loaded)]) + "\n"
 
 
 # what cfrac loads: every symbolic module but the reference tables
@@ -947,8 +1060,11 @@ CFRAC_MODULES = set(SYMBOLIC_MODULES) - {"invarc.reference"}
         # no layer's error type
         (("cfrac", "--depth", "6", "--freeze", "3/4", "--freeze-from", "7"), 2, "",
          "error: freeze index 7 outside 1..6\n", CFRAC_MODULES),
+        # argparse prints the usage error, and no layer loads
+        (("verify-series", "--order", "5"), 1, "",
+         "usage error: argument --order: must be at least 8, got 5\n", ARGPARSE_MODULES),
     ],
-    ids=["verify-series", "cfrac", "cfrac-refused"],
+    ids=["verify-series", "cfrac", "cfrac-refused", "usage-error"],
 )
 def test_symbolic_commands_load_their_layers_when_they_run(argv, code, out, err, loaded):
     proc = _cold_run(*argv)
