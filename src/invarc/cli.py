@@ -15,13 +15,14 @@ required flag given, is read from the option table without argparse.
 Any other argv (--help, --flag=value, an abbreviation, a negative value,
 a usage error) goes to argparse, built from the same table.
 
-Exit codes: 0 success, 1 usage error, 2 verification or domain failure or
-output that cannot be written (an --out file, or stdout: a full device, a
-pipe with no reader, a closed descriptor).  Every layer's refusal type
-derives from ArithmeticError; run() reports any ArithmeticError or
-ValueError, or a failed write, as one "error:" line and exit 2.  If
-stderr cannot take that line or a "usage error:" line either, fd 2 is
-pointed at os.devnull and run() returns the same code with no message.
+Exit codes: 0 success, 1 usage error, 2 a verify-series reference
+mismatch, a domain refusal or output that cannot be written (an --out
+file, or stdout: a full device, a pipe with no reader, a closed
+descriptor).  Every layer's refusal type derives from ArithmeticError;
+run() reports any ArithmeticError or ValueError, or a failed write, as
+one "error:" line and exit 2.  If stderr cannot take that line or a
+"usage error:" line either, fd 2 is pointed at os.devnull and run()
+returns the same code with no message.
 Output uses LF line endings and is byte-identical across runs for a given
 invocation.  Every refusal is decided before the first byte; error-table
 then writes its table a block at a time and keeps no row, so its memory
@@ -40,7 +41,6 @@ import errno
 import os
 import stat
 import sys
-import tempfile
 from collections.abc import Generator
 from types import SimpleNamespace
 
@@ -105,20 +105,20 @@ def _write_out(first: str, pieces: _Output, out: str) -> int:
     target = os.path.realpath(out)
     try:
         mode = os.stat(target).st_mode
-    except FileNotFoundError:  # a new file gets what open() would give it
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = stat.S_IFREG | (0o666 & ~umask)
-    if not stat.S_ISREG(mode):
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         # a FIFO or a device is written to, not replaced (a directory fails)
         with open(target, "w", newline="\n") as handle:
             return _drain(first, pieces, handle)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".invarc-")
+    # an unpredictable name that O_EXCL creates only if nothing, a symlink
+    # included, has it yet; a new file gets what open() would give it
+    tmp = os.path.join(os.path.dirname(target), f".invarc-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            # mkstemp creates the file 0600; a plain write keeps the
-            # target's permission bits
-            os.fchmod(handle.fileno(), mode & 0o777)
+            if mode is not None:  # a plain write keeps the target's permission bits
+                os.fchmod(fd, mode & 0o777)
             code = _drain(first, pieces, handle)
         os.replace(tmp, target)
     except BaseException:
@@ -212,29 +212,11 @@ def _cmd_cfrac(args) -> _Output:
     return 0
 
 
-def _band_violations(values) -> list[str]:
-    # |normalized + 1| stays within 0.02 out to lambda = 0.05 and within
-    # 0.15 out to lambda = 0.2; the lambda = 0 limit row is exactly -1.
-    columns = len(ERROR_TABLE_COLUMNS)
-    messages = []
-    for lam, normalized in zip(values[::columns], values[columns - 1::columns]):
-        if not 0.0 < lam <= 0.2:  # outside both bands
-            continue
-        for bound, tol in ((0.05, 0.02), (0.2, 0.15)):
-            if lam <= bound and abs(normalized + 1.0) > tol:
-                messages.append(
-                    f"lambda {lam:.17g}: |normalized + 1| = "
-                    f"{abs(normalized + 1.0):.17g} exceeds {tol} "
-                    f"(band up to lambda = {bound})"
-                )
-    return messages
-
-
 # one %-format per row prints each column as f"{value:.17g}" would
 _ERROR_ROW_FORMAT = "\t".join(["%.17g"] * len(ERROR_TABLE_COLUMNS))
 
-# rows per error_sweep call: a block is swept, band-checked, formatted and
-# written before the next one starts, and nothing of it is kept
+# rows per error_sweep call: a block is swept, formatted and written before
+# the next one starts, and nothing of it is kept
 _SWEEP_BLOCK = 1024
 
 
@@ -248,17 +230,13 @@ def _cmd_error_table(args) -> _Output:
     if last >= 1.0:
         raise lambda_refusal(last)
     head = "\t".join(ERROR_TABLE_COLUMNS) + "\n"  # written with the first block
-    violations = []
     for first in range(0, steps + 1, _SWEEP_BLOCK):
         block = range(first, min(first + _SWEEP_BLOCK, steps + 1))
         values = error_sweep([low + span * i / steps for i in block], DEFAULT_CONFIG)
-        violations += _band_violations(values)
         yield head + ((_ERROR_ROW_FORMAT + "\n") * len(block)) % tuple(values)
         del values  # before the next block is swept
         head = ""
-    for message in violations:
-        print(f"band check failed: {message}", file=sys.stderr)
-    return 2 if violations else 0
+    return 0
 
 
 def _cmd_invert(args) -> _Output:

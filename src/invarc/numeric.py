@@ -357,10 +357,10 @@ def invert_from_measurements(perimeter: float, axis_sum: float) -> Inversion:
     degenerate segment).  Only a and b depend on s itself, so L and s are
     scaled once by the power of two that puts s in [0.5, 1), exactly for any
     L up to 4*s: there pi*s and the semiaxes stay normal floats even for a
-    subnormal s.  h = L/(pi*s) - 1, floored at 0, feeds the closed form,
-    whose overshoot of lambda^2 = 1 by about 5.8e-4 at the degenerate end is
-    clamped to keep b >= 0.  lambda is (a - b)/(a + b) of the unit-scale
-    semiaxes; a and b are returned at the real scale.
+    subnormal s.  h = L/(pi*s) - 1, +0.0 or more once L >= pi*s, feeds the
+    closed form, whose overshoot of lambda^2 = 1 by about 5.8e-4 at the
+    degenerate end is clamped to keep b >= 0.  lambda is (a - b)/(a + b) of
+    the unit-scale semiaxes; a and b are returned at the real scale.
     """
     if not (math.isfinite(perimeter) and math.isfinite(axis_sum)):
         raise NumericError(f"perimeter and axis sum must be finite, got {perimeter} and {axis_sum}")
@@ -381,7 +381,7 @@ def invert_from_measurements(perimeter: float, axis_sum: float) -> Inversion:
             f"perimeter {perimeter} below the circle bound pi*sum = "
             f"{_circle_bound(mantissa, exponent)}"
         )
-    h = max(0.0, unit_perimeter / (math.pi * mantissa) - 1.0)
+    h = unit_perimeter / (math.pi * mantissa) - 1.0
     lam = min(1.0, math.sqrt(ramanujan_lambda_sq(h)))
     ua, ub = mantissa * (1.0 + lam) / 2.0, mantissa * (1.0 - lam) / 2.0
     a, b = axis_sum * (1.0 + lam) / 2.0, axis_sum * (1.0 - lam) / 2.0

@@ -1,4 +1,5 @@
-"""Acceptance gate: every shipped guarantee, one test per criterion.
+"""Acceptance gate: every shipped guarantee, one test per criterion, and
+beside criterion 7 a proof of its bands for every lambda.
 
 Each test records a PASS/FAIL verdict line (printed in the terminal
 summary) before running its assertions, so the final report always lists
@@ -27,7 +28,7 @@ from invarc.numeric import (
 )
 from invarc.series import PowerSeries
 
-from series_helpers import rows
+from series_helpers import ramanujan_by_sqrt, rows
 
 TRUE_COEFFS_1_TO_8 = (
     F(4),
@@ -191,6 +192,89 @@ def test_c07_normalized_error_bands(verdict):
     assert tight <= 0.02, tight
     assert wide <= 0.15, wide
     assert elapsed < 1.0, elapsed
+
+
+# criterion 7's bands: |normalized + 1| <= tol for every lambda in (0, edge]
+BANDS = ((0.05, 0.02), (0.2, 0.15))
+# the truncation order M of the error series, and the Cauchy radius in x
+PROOF_ORDER = 24
+CAUCHY_RADIUS = F(1, 2)
+
+
+def _ivory_oracle(n):
+    # binom(1/2, n)^2 from math.comb, not from the runtime memo
+    return F(math.comb(2 * n, n), (1 - 2 * n) * 4**n) ** 2
+
+
+def _true_inverse_oracle(order):
+    # the h-series built from _ivory_oracle, reverted
+    return PowerSeries([0] + [_ivory_oracle(n) for n in range(1, order + 1)]).revert()
+
+
+def _h_upper(x, terms):
+    # h(x) for 0 <= x < 1 is at most its Ivory sum through x^terms plus
+    # c_(terms+1) x^(terms+1)/(1 - x), since the coefficients c_n decrease
+    partial = sum(_ivory_oracle(n) * x**n for n in range(1, terms + 1))
+    return partial + _ivory_oracle(terms + 1) * x ** (terms + 1) / (1 - x)
+
+
+def _band_proof_failures(approx, bands):
+    """Why |normalized + 1| <= tol is not proved for every lambda in
+    (0, edge], one line per (edge, tol) band, or [] when all are proved.
+
+    normalized is 32 diff/h^6, and diff = x - f(h(x)) with x = lambda^2 and
+    f the closed form, whose series in h is approx.  The true inverse comes
+    from reverting the h-series, so D = true - approx through h^M.  With
+    D_0..D_5 = 0 and D_6 = -1/32,
+    normalized + 1 = 32 (sum_(7<=j<=M) D_j h^j + R(x))/h^6.  R is analytic
+    on |x| < 1 and vanishes to order M + 1.  On |x| = r, |h(x)| <= h(r)
+    < 1/3, so |2 + sqrt(1 - 3h)| >= 2 and |R| <= C' = r + 4h(r) + 1.5h(r)^2
+    + sum_j |D_j| h(r)^j; Cauchy's estimate gives
+    |R(x)| <= C' (x/r)^(M+1)/(1 - x/r).  With h(x) >= x/4 the bound
+    grows with x, so its value at the edge covers the whole band.  Every
+    bound is a Fraction, the float edges and tolerances taken exactly.
+    """
+    M, r = approx.order, CAUCHY_RADIUS
+    D = (_true_inverse_oracle(M) - approx).coeffs
+    if D[:7] != (0,) * 6 + (F(-1, 32),):
+        return [f"error law: D_0..D_6 are {', '.join(map(str, D[:7]))}, need 0 x 6, -1/32"]
+    h_r = _h_upper(r, M)
+    if not h_r < F(1, 3):
+        return [f"h(r) bound {h_r} is not below 1/3"]
+    cauchy = r + 4 * h_r + F(3, 2) * h_r**2 + sum(abs(d) * h_r**j for j, d in enumerate(D))
+    failures = []
+    for edge, tol in bands:
+        x = F(edge) ** 2
+        h_hi = _h_upper(x, M)
+        series = 32 * sum(abs(D[j]) * h_hi ** (j - 6) for j in range(7, M + 1))
+        tail = 32 * cauchy * (x / r) ** (M + 1) / ((1 - x / r) * (x / 4) ** 6)
+        if series + tail > F(tol):
+            failures.append(f"lambda <= {edge}: bound {float(series + tail):.4e} exceeds {tol}")
+    return failures
+
+
+def test_c07_bands_proved_for_every_lambda():
+    # criterion 7's two bands, proved on all of (0, edge] and not sampled
+    assert _band_proof_failures(ramanujan_by_sqrt(PROOF_ORDER), BANDS) == []
+
+
+def test_band_proof_refuses_the_tail_frozen_at_7_8():
+    # the same checker fed the true inverse's fraction frozen at 7/8 from a_2:
+    # its error starts at h^4, not at -h^6/32
+    cf = cfrac_expand(_true_inverse_oracle(PROOF_ORDER), 2)
+    frozen = cfrac_to_series(freeze_tail(cf, 2, F(7, 8)), PROOF_ORDER)
+    assert _band_proof_failures(frozen, BANDS) == [
+        "error law: D_0..D_6 are 0, 0, 0, 0, 1/16, 17/64, 911/1024, need 0 x 6, -1/32"
+    ]
+
+
+def test_band_proof_refuses_a_wide_band_of_0_07():
+    # 0.07 lies below the wide band's maximum, which the row at lambda = 0.2
+    # reaches, so the bound must exceed it too
+    assert abs(rows(error_sweep([0.2]))[0].normalized + 1.0) > 0.07
+    assert _band_proof_failures(ramanujan_by_sqrt(PROOF_ORDER), ((0.05, 0.02), (0.2, 0.07))) == [
+        "lambda <= 0.2: bound 7.2323e-02 exceeds 0.07"
+    ]
 
 
 def test_c08_engine_agreement(verdict):
