@@ -82,17 +82,19 @@ def ramanujan_series(order: int) -> PowerSeries:
     is 4h - h^2 (2 - s)/(1 + h).  The binomial series gives s_0 = 1 and
     s_k = s_(k-1) * 3(2k - 3)/(2k); dividing t = 2 - s by 1 + h is
     q_k = t_k - q_(k-1); and q_k is minus the coefficient of h^(k+2).
-    Linear in the order, with no series division or square root.
+    Both run on the integers S = 4^k s_k (twice a Catalan number times a
+    power of 3, so S*6(2k - 3)/k is exact) and Q = 4^k q_k, with one
+    Fraction per coefficient.  Linear in the order, with no series
+    division or square root.
     """
     if order < 2:
         raise ValueError("need order >= 2 to expand the closed form")
-    s = Fraction(1)
-    q = Fraction(1)  # t_0 = 2 - s_0
-    coeffs = [Fraction(0), Fraction(4), -q]
+    s = q = 1  # S_0 and Q_0
+    coeffs = [Fraction(0), Fraction(4), Fraction(-1)]
     for k in range(1, order - 1):
-        s *= Fraction(3 * (2 * k - 3), 2 * k)
-        q = -s - q
-        coeffs.append(-q)
+        s = s * 6 * (2 * k - 3) // k
+        q = -s - 4 * q
+        coeffs.append(Fraction(-q, 4**k))
     return PowerSeries(coeffs)
 
 
@@ -106,12 +108,18 @@ def cfrac_expand(s: PowerSeries, depth: int) -> CFraction:
     a_k*h/(1 - D_k).  A depth-d truncation certifies the source through
     order d + 2, which is why the source order must be at least depth + 2.
 
-    D_k is kept as a quotient num/den of integer coefficient lists
-    (Viskovatov's division-free recurrence): with rem = den - num, so that
-    1 - D_k = rem/den, a step is a_k = rem[1]/den[0] and D_{k+1} =
-    a_k*den/(rem/h), one coefficient shorter.  When some 1 - D_k is
-    identically zero the source was a rational function and the expansion
-    stops there, with fewer than depth partials.
+    D_k is kept as p*T/(q*B): two integer scalars p, q over two integer
+    coefficient lists T, B (Viskovatov's division-free recurrence).  With
+    rem = q*B - p*T, so that 1 - D_k = rem/(q*B), a step is
+    a_k = rem[1]/(q*B[0]) and D_{k+1} = a_k*q*B/(rem/h), one coefficient
+    shorter: the next T is B, the next B is rem/h divided by its content
+    r, and the next scalars a_k*q and r are reduced by their one gcd.  So
+    the common factors sit in the scalars, not in every list entry, and
+    no step takes the gcd of all 2n entries.  The partials do not depend
+    on the scaling, since a_k, the linear coefficient of 1 - D_k, depends
+    only on the quotient.  When some 1 - D_k is identically zero the
+    source was a rational function and the expansion stops there, with
+    fewer than depth partials.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -126,26 +134,27 @@ def cfrac_expand(s: PowerSeries, depth: int) -> CFraction:
     if c1 == 0 or c2 == 0:
         raise CFracError("normal form needs nonzero h and h^2 coefficients")
     head = -c2
-    # D_1 = head*h^2/(c1*h - s) = -c2/(-c2 - c3*h - ...), over one integer scale
-    den, _ = _scaled([-c for c in s.coeffs[2:]])
-    num = [den[0]] + [0] * (len(den) - 1)
+    # D_1 = head*h^2/(c1*h - s) = c2/(c2 + c3*h + ...), over one integer scale
+    B, _ = _scaled(s.coeffs[2:])
+    T = [1] + [0] * (len(B) - 1)
+    p, q = B[0], 1
     partials: list[Fraction] = []
     for k in range(1, depth + 1):
-        rem = [q - p for p, q in zip(num, den)]
+        rem = [q * b - p * t for t, b in zip(T, B)]
         if not any(rem):
             break
-        a = Fraction(rem[1], den[0])
+        a = Fraction(rem[1], q * B[0])
         if a == 0:
             raise CFracError(
                 f"partial numerator {k} vanished but the remainder did not terminate"
             )
         partials.append(a)
         if k < depth:
-            num = [a.numerator * q for q in den[:-1]]
-            den = [a.denominator * r for r in rem[1:]]
-            g = math.gcd(*num, *den)
-            num = [p // g for p in num]
-            den = [q // g for q in den]
+            r = math.gcd(*rem[1:])
+            T, B = B[:-1], [x // r for x in rem[1:]]
+            p, q = a.numerator * q, a.denominator * r
+            g = math.gcd(p, q)
+            p, q = p // g, q // g
     return CFraction(c1, head, tuple(partials))
 
 

@@ -1,5 +1,6 @@
 """C-fraction extraction, freezing, tail solving, collapse, agreement."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,7 @@ from invarc.cfrac import (
     tail_closed_form,
 )
 from invarc.derivation import true_inverse_series
-from invarc.series import PowerSeries
+from invarc.series import PowerSeries, _scaled
 
 from series_helpers import polynomial, ramanujan_by_sqrt, tail_series, whole
 
@@ -239,6 +240,25 @@ def test_closed_form_recurrence_matches_the_sqrt_oracle():
         assert ramanujan_series(order) == ramanujan_by_sqrt(order)
 
 
+def _ramanujan_by_fractions(order):
+    # the former cfrac.ramanujan_series: the same recurrence on Fractions
+    if order < 2:
+        raise ValueError("need order >= 2 to expand the closed form")
+    s = F(1)
+    q = F(1)  # t_0 = 2 - s_0
+    coeffs = [F(0), F(4), -q]
+    for k in range(1, order - 1):
+        s *= F(3 * (2 * k - 3), 2 * k)
+        q = -s - q
+        coeffs.append(-q)
+    return PowerSeries(coeffs)
+
+
+def test_closed_form_on_integers_matches_the_fraction_recurrence():
+    for order in range(-1, 81):
+        assert _outcome(ramanujan_series, order) == _outcome(_ramanujan_by_fractions, order)
+
+
 def test_tail_closed_form_string():
     assert tail_closed_form(F(3, 4)) == "(1 + sqrt(1 - 3h))/2"
     assert tail_closed_form(F(1, 4)) == "(1 + sqrt(1 - h))/2"
@@ -414,6 +434,43 @@ def _expand_by_division(s, depth):
     return CFraction(c1, head, tuple(partials))
 
 
+def _oracle_expand_by_gcd(s, depth):
+    # the former cfrac_expand: D_k as num/den, both lists divided each step
+    # by the gcd of all their 2n entries
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    if s.order < depth + 2:
+        raise CFracError(
+            f"series order {s.order} cannot support depth {depth}; need {depth + 2}"
+        )
+    if s[0] != 0:
+        raise CFracError("series must vanish at 0")
+    c1, c2 = s[1], s[2]
+    if c1 == 0 or c2 == 0:
+        raise CFracError("normal form needs nonzero h and h^2 coefficients")
+    head = -c2
+    den, _ = _scaled([-c for c in s.coeffs[2:]])
+    num = [den[0]] + [0] * (len(den) - 1)
+    partials = []
+    for k in range(1, depth + 1):
+        rem = [q - p for p, q in zip(num, den)]
+        if not any(rem):
+            break
+        a = F(rem[1], den[0])
+        if a == 0:
+            raise CFracError(
+                f"partial numerator {k} vanished but the remainder did not terminate"
+            )
+        partials.append(a)
+        if k < depth:
+            num = [a.numerator * q for q in den[:-1]]
+            den = [a.denominator * r for r in rem[1:]]
+            g = math.gcd(*num, *den)
+            num = [p // g for p in num]
+            den = [q // g for q in den]
+    return CFraction(c1, head, tuple(partials))
+
+
 def _rational_source(leading, head, partials, order):
     # leading*h - head*h^2/(1 - a1*h/(1 - ...)), a rational function whose
     # expansion terminates after the given partials
@@ -445,6 +502,14 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _assert_expand_matches_oracles(s, depth):
+    # the same CFraction, or the same exception type and message, as both
+    # former expansions
+    expanded = _outcome(cfrac_expand, s, depth)
+    assert expanded == _outcome(_expand_by_division, s, depth)
+    assert expanded == _outcome(_oracle_expand_by_gcd, s, depth)
+
+
 # zeros and non-dyadic denominators (1/3, 1/7, ...) both common
 sparse_fractions_st = st.one_of(
     st.just(F(0)), st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -462,7 +527,7 @@ nonzero_fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator
 def test_expand_refusals_match_division_oracle(coeffs, depth):
     # mostly the checks before the loop: depth, order, constant, head
     s = PowerSeries(coeffs)
-    assert _outcome(cfrac_expand, s, depth) == _outcome(_expand_by_division, s, depth)
+    _assert_expand_matches_oracles(s, depth)
 
 
 @given(
@@ -471,12 +536,14 @@ def test_expand_refusals_match_division_oracle(coeffs, depth):
     st.lists(sparse_fractions_st, max_size=9),
     st.integers(min_value=0, max_value=9),
 )
+@example(F(4), F(-1), [F(0), F(1)], 3)  # partial numerator 1 vanished
+@example(F(4), F(-1), [F(-2)] * 3, 4)  # partial numerator 3 vanished
 @settings(max_examples=300)
 def test_expand_matches_division_oracle(c1, c2, tail, depth):
     # regular sources, and irregular ones where a zero makes a partial vanish
     s = PowerSeries([F(0), c1, c2] + tail)
     depth = min(depth, s.order - 2)
-    assert _outcome(cfrac_expand, s, depth) == _outcome(_expand_by_division, s, depth)
+    _assert_expand_matches_oracles(s, depth)
 
 
 @given(
@@ -485,12 +552,23 @@ def test_expand_matches_division_oracle(c1, c2, tail, depth):
     st.lists(sparse_fractions_st, max_size=5),
     st.integers(min_value=0, max_value=4),
 )
+@example(F(4), F(1), [F(1, 2), F(3, 4)], 4)
+@example(F(2), F(6), [F(4), F(0), F(9)], 3)  # a_2 = 0 ends it after a_1
 @settings(max_examples=100)
 def test_expand_matches_division_oracle_on_rational_sources(leading, head, partials, extra):
     # terminating sources, also where a zero partial ends them early
     depth = len(partials) + extra
     s = _rational_source(leading, head, partials, depth + 2)
-    assert _outcome(cfrac_expand, s, depth) == _outcome(_expand_by_division, s, depth)
+    _assert_expand_matches_oracles(s, depth)
+
+
+@pytest.mark.parametrize(
+    "source, order, depth",
+    [(true_inverse_series, 40, 38), (true_inverse_series, 80, 78), (ramanujan_series, 42, 40)],
+)
+def test_expand_matches_gcd_oracle_at_high_order(source, order, depth):
+    s = source(order)
+    assert cfrac_expand(s, depth) == _oracle_expand_by_gcd(s, depth)
 
 
 @st.composite
