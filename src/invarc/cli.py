@@ -24,9 +24,12 @@ one "error:" line and exit 2.  If stderr cannot take that line or a
 "usage error:" line either, fd 2 is pointed at os.devnull and run()
 returns the same code with no message.
 Output uses LF line endings and is byte-identical across runs for a given
-invocation.  Every refusal is decided before the first byte; error-table
-then writes its table a block at a time and keeps no row, so its memory
-does not grow with --steps.  A crash or a failed write part way (not a
+invocation.  Each handler raises every refusal in its own body, so
+before the first byte, and then returns (exit code, pieces of text),
+which run() writes in order.  verify-series, cfrac and invert return one
+piece; error-table returns a lazy map over its 1,024-row blocks, each
+swept only when it is written, and keeps no row, so its memory does not
+grow with --steps.  A crash or a failed write part way (not a
 refusal) can leave a partial table on stdout but never a partial --out
 file.  --out follows symlinks, writes a regular file atomically (temp file
 in the target directory, then rename) with the permission bits a plain
@@ -41,7 +44,7 @@ import errno
 import os
 import stat
 import sys
-from collections.abc import Generator
+from collections.abc import Iterable
 from types import SimpleNamespace
 
 # the symbolic layers load inside the handlers that run them, so
@@ -85,23 +88,15 @@ def _fraction(text: str):
         raise _BadValue(f"not a fraction: {text!r}")
 
 
-_Output = Generator[str, None, int]
+def _drain(pieces: Iterable[str], handle) -> None:
+    """Write each piece, then flush, so that a failed buffered write raises
+    here and not at exit."""
+    for piece in pieces:
+        handle.write(piece)
+    handle.flush()
 
 
-def _drain(first: str, pieces: _Output, handle) -> int:
-    """Write first and each later piece, then flush, so that a failed
-    buffered write raises here and not at exit; return the handler's exit
-    code."""
-    handle.write(first)
-    try:
-        while True:
-            handle.write(next(pieces))
-    except StopIteration as stop:
-        handle.flush()
-        return stop.value
-
-
-def _write_out(first: str, pieces: _Output, out: str) -> int:
+def _write_out(pieces: Iterable[str], out: str) -> None:
     target = os.path.realpath(out)
     try:
         mode = os.stat(target).st_mode
@@ -110,7 +105,8 @@ def _write_out(first: str, pieces: _Output, out: str) -> int:
     if mode is not None and not stat.S_ISREG(mode):
         # a FIFO or a device is written to, not replaced (a directory fails)
         with open(target, "w", newline="\n") as handle:
-            return _drain(first, pieces, handle)
+            _drain(pieces, handle)
+        return
     # an unpredictable name that O_EXCL creates only if nothing, a symlink
     # included, has it yet; a new file gets what open() would give it
     tmp = os.path.join(os.path.dirname(target), f".invarc-{os.urandom(8).hex()}")
@@ -119,13 +115,12 @@ def _write_out(first: str, pieces: _Output, out: str) -> int:
         with os.fdopen(fd, "w", newline="\n") as handle:
             if mode is not None:  # a plain write keeps the target's permission bits
                 os.fchmod(fd, mode & 0o777)
-            code = _drain(first, pieces, handle)
+            _drain(pieces, handle)
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
-    return code
 
 
 # the verify-series tables in print order with their text-format labels,
@@ -140,7 +135,7 @@ _TABLE_LABELS = {
 }
 
 
-def _cmd_verify_series(args) -> _Output:
+def _cmd_verify_series(args) -> tuple[int, Iterable[str]]:
     from .derivation import full_report
     from .reference import CFRAC_PARTIALS, REFERENCE_SERIES
 
@@ -173,11 +168,10 @@ def _cmd_verify_series(args) -> _Output:
         verdict = (f"{len(mismatches)} of {checked} mismatch" if mismatches
                    else f"{checked} coefficients match")
         lines += [*mismatches, f"reference check: {verdict}"]
-    yield "\n".join(lines) + "\n"
-    return 2 if mismatches else 0
+    return (2 if mismatches else 0), ["\n".join(lines) + "\n"]
 
 
-def _cmd_cfrac(args) -> _Output:
+def _cmd_cfrac(args) -> tuple[int, Iterable[str]]:
     if args.freeze is None and args.freeze_from is not None:
         raise UsageError("--freeze-from needs --freeze")
     from .cfrac import (
@@ -208,8 +202,7 @@ def _cmd_cfrac(args) -> _Output:
             lines.append(f"closed form: none ({exc})")
         else:
             lines.append(f"closed form: {closed}")
-    yield "\n".join(lines) + "\n"
-    return 0
+    return 0, ["\n".join(lines) + "\n"]
 
 
 # one %-format per row prints each column as f"{value:.17g}" would
@@ -220,7 +213,7 @@ _ERROR_ROW_FORMAT = "\t".join(["%.17g"] * len(ERROR_TABLE_COLUMNS))
 _SWEEP_BLOCK = 1024
 
 
-def _cmd_error_table(args) -> _Output:
+def _cmd_error_table(args) -> tuple[int, Iterable[str]]:
     low, high, steps = args.lambda_min, args.lambda_max, args.steps
     if not (0.0 <= low <= high < 1.0):
         raise UsageError(f"need 0 <= lambda-min <= lambda-max < 1, got {low} and {high}")
@@ -229,20 +222,20 @@ def _cmd_error_table(args) -> _Output:
     last = low + span * steps / steps
     if last >= 1.0:
         raise lambda_refusal(last)
-    head = "\t".join(ERROR_TABLE_COLUMNS) + "\n"  # written with the first block
-    for first in range(0, steps + 1, _SWEEP_BLOCK):
-        block = range(first, min(first + _SWEEP_BLOCK, steps + 1))
-        values = error_sweep([low + span * i / steps for i in block], DEFAULT_CONFIG)
-        yield head + ((_ERROR_ROW_FORMAT + "\n") * len(block)) % tuple(values)
-        del values  # before the next block is swept
-        head = ""
-    return 0
+
+    def block(first: int) -> str:
+        # the header goes with the first block; the values die with the call
+        rows = range(first, min(first + _SWEEP_BLOCK, steps + 1))
+        values = error_sweep([low + span * i / steps for i in rows], DEFAULT_CONFIG)
+        head = "\t".join(ERROR_TABLE_COLUMNS) + "\n" if first == 0 else ""
+        return head + ((_ERROR_ROW_FORMAT + "\n") * len(rows)) % tuple(values)
+
+    return 0, map(block, range(0, steps + 1, _SWEEP_BLOCK))
 
 
-def _cmd_invert(args) -> _Output:
+def _cmd_invert(args) -> tuple[int, Iterable[str]]:
     a, b, lam, h = invert_from_measurements(args.perimeter, args.axis_sum)
-    yield f"a: {a:.17g}\nb: {b:.17g}\nlambda: {lam:.17g}\nh: {h:.17g}\n"
-    return 0
+    return 0, [f"a: {a:.17g}\nb: {b:.17g}\nlambda: {lam:.17g}\nh: {h:.17g}\n"]
 
 
 # Each command's handler, help line, options (flag -> add_argument's
@@ -344,16 +337,17 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _read_plain(argv) or build_parser().parse_args(argv)
-        # a handler refuses, if at all, before its first piece
-        pieces = _COMMANDS[args.command][0](args)
-        first = next(pieces)
+        # a handler refuses, if at all, before it returns
+        code, pieces = _COMMANDS[args.command][0](args)
         out = getattr(args, "out", None)
         try:
             if out is not None:
-                return _write_out(first, pieces, out)
-            if sys.stdout is None:  # the interpreter started with fd 1 closed
+                _write_out(pieces, out)
+            elif sys.stdout is None:  # the interpreter started with fd 1 closed
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            return _drain(first, pieces, sys.stdout)
+            else:
+                _drain(pieces, sys.stdout)
+            return code
         except OSError as exc:
             if out is None and sys.stdout is not None:
                 _to_devnull(sys.stdout.fileno())

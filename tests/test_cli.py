@@ -317,6 +317,23 @@ def test_cfrac_freeze_from_needs_freeze(capsys):
     )
 
 
+def test_cfrac_expands_the_source_it_names(capsys, monkeypatch):
+    # the first line's order is the order of the series expanded
+    from invarc import derivation
+
+    orders = []
+    real = derivation.true_inverse_series
+
+    def recording(order):
+        orders.append(order)
+        return real(order)
+
+    monkeypatch.setattr(derivation, "true_inverse_series", recording)
+    code, out, _ = invoke(capsys, "cfrac", "--depth", "4")
+    assert (code, orders) == (0, [6])
+    assert out.startswith("source: true inverse series through x^6\n")
+
+
 def test_error_table_default_grid(capsys):
     code, out, err = invoke(capsys, "error-table")
     assert code == 0
@@ -401,6 +418,22 @@ def test_error_table_out_file_atomic(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["rows.tsv"]
 
 
+def test_out_temp_file_names_are_fresh(tmp_path, capsys, monkeypatch):
+    # each --out write renames its own .invarc-* file, never a fixed name
+    renamed = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        renamed.append(os.path.basename(src))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    argv = ("error-table", "--steps", "1", "--out", str(tmp_path / "rows.tsv"))
+    assert [invoke(capsys, *argv) for _ in range(2)] == [(0, "", "")] * 2
+    assert len(set(renamed)) == 2, renamed
+    assert all(name.startswith(".invarc-") for name in renamed), renamed
+
+
 def _one_shot_error_table(lo, hi, steps):
     # the rendering error-table had before it swept in blocks: one sweep over
     # the whole grid and one join
@@ -430,6 +463,20 @@ def test_error_table_blocks_match_the_one_shot_rendering(tmp_path, capsys, rows)
     assert target.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("rows, blocks", [(1024, [1024]), (2048, [1024, 1024]),
+                                          (2049, [1024, 1024, 1])])
+def test_error_table_sweeps_full_blocks_and_no_empty_one(capsys, monkeypatch, rows, blocks):
+    calls = []
+
+    def sweep(grid, cfg):
+        calls.append(len(grid))
+        return [value for lam in grid for value in (lam, 0.0, 0.0, 0.0, 0.0, -1.25)]
+
+    monkeypatch.setattr(cli, "error_sweep", sweep)
+    code, out, _ = invoke(capsys, *_error_table_argv(0.3, 0.4, rows - 1))
+    assert (code, out.count("\n"), calls) == (0, rows + 1, blocks)
+
+
 def _target_argv(argv, tmp_path, target):
     # argv writing to stdout (None) or to --out rows.tsv, absent or existing
     out = tmp_path / "rows.tsv"
@@ -446,31 +493,38 @@ def _assert_target_untouched(tmp_path, target):
         assert (tmp_path / "rows.tsv").read_text() == "stale\n"
 
 
-@pytest.mark.parametrize("target", [None, "absent", "existing"])
+# the block the fake sweep fails in: the second (ids None, absent and
+# existing) or the first
+@pytest.mark.parametrize("target, failing", [
+    *(pytest.param(target, 2, id=str(target)) for target in (None, "absent", "existing")),
+    *(pytest.param(target, 1, id=f"{target}-first") for target in (None, "absent", "existing")),
+])
 def test_error_table_refusal_in_a_later_block_writes_nothing(
-    tmp_path, capsys, monkeypatch, target
+    tmp_path, capsys, monkeypatch, target, failing
 ):
-    # a failure no check before the sweep can foresee (a fake sweep's, in
-    # the second block) comes after the first block is written: stdout
-    # keeps the header and those 1,024 rows, then the one error line; --out
-    # writes nothing
+    # a failure no check before the sweep can foresee (a fake sweep's) comes
+    # after every earlier block is written: in the second block stdout keeps
+    # the header and the first 1,024 rows, in the first it keeps nothing,
+    # then the one error line; --out writes nothing, though its temp file
+    # is open while the first block is swept
     calls = []
 
     def sweep(grid, cfg):
         calls.append(len(grid))
-        if len(calls) == 2:
-            raise numeric.NumericError("refused in the second block")
+        if len(calls) == failing:
+            raise numeric.NumericError("refused in a block")
         return [value for lam in grid for value in (lam, 0.0, 0.0, 0.0, 0.0, -1.25)]
 
     monkeypatch.setattr(cli, "error_sweep", sweep)
-    table = _one_shot_error_table(0.0, 0.2, 1500)
-    first_block = "".join(table.splitlines(keepends=True)[:1025])
-    calls.clear()
+    written = ""
+    if target is None and failing == 2:  # the header and the first block
+        table = _one_shot_error_table(0.0, 0.2, 1500)
+        written = "".join(table.splitlines(keepends=True)[:1025])
+        calls.clear()
     argv = _target_argv(_error_table_argv(0.0, 0.2, 1500), tmp_path, target)
     code, stdout, err = invoke(capsys, *argv)
-    written = first_block if target is None else ""
-    assert (code, stdout, err) == (2, written, "error: refused in the second block\n")
-    assert calls == [1024, 477]
+    assert (code, stdout, err) == (2, written, "error: refused in a block\n")
+    assert calls == [1024, 477][:failing]
     _assert_target_untouched(tmp_path, target)
 
 
@@ -494,6 +548,20 @@ def test_error_table_overshoot_is_refused_before_any_row(tmp_path, capsys, monke
     argv = _target_argv(list(OVERSHOOT), tmp_path, target)
     assert invoke(capsys, *argv) == (2, "", "error: lambda = 1.0 outside [0, 1)\n")
     assert calls == []
+    _assert_target_untouched(tmp_path, target)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("--freeze-from", "3"), (1, "usage error: --freeze-from needs --freeze\n")),
+    (("--freeze", "3/4", "--freeze-from", "7"), (2, "error: freeze index 7 outside 1..5\n")),
+], ids=["freeze-from-alone", "freeze-from-past-depth"])
+@pytest.mark.parametrize("target", ["absent", "existing"])
+def test_cfrac_refusal_with_out_writes_nothing(tmp_path, capsys, target, argv, expected):
+    # cfrac refuses in its handler before run() opens the --out temp file
+    argv = _target_argv(["cfrac", *argv], tmp_path, target)
+    code, stdout, err = invoke(capsys, *argv)
+    assert (code, err) == expected
+    assert stdout == ""
     _assert_target_untouched(tmp_path, target)
 
 
@@ -951,6 +1019,19 @@ def test_float_commands_load_no_symbolic_module(capsys, monkeypatch, argv, code,
     assert expected[0] == code
     assert (proc.returncode, proc.stdout) == (code, expected[1])
     assert proc.stderr == expected[2] + " ".join(["loaded:", *sorted(loaded)]) + "\n"
+
+
+def test_run_without_argv_reads_sys_argv_without_argparse(capsys):
+    # the console script and python -m invarc call run() with no argv
+    import subprocess
+    import sys
+
+    script = COLD_RUN.replace("run(sys.argv[1:])", "run()")
+    assert script != COLD_RUN
+    proc = subprocess.run([sys.executable, "-c", script, *INVERT_ARGS], capture_output=True,
+                          text=True)
+    code, out, _ = invoke(capsys, *INVERT_ARGS)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "loaded:\n")
 
 
 # what cfrac loads: every symbolic module but the reference tables
