@@ -16,8 +16,8 @@ Everything is exact rational arithmetic; no floats enter this module.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .series import PowerSeries, _scaled
 
@@ -30,21 +30,20 @@ class NotInRamanujanShape(CFracError):
     """Collapse requested for a fraction outside the supported shape."""
 
 
-class CFraction(NamedTuple):
+class CFraction(namedtuple("CFraction", ("leading", "head", "partials", "periodic_from"),
+                           defaults=(None,))):
     """Normal-form continued fraction data.
 
-    periodic_from, when set, is the 1-based index from which every partial
-    coefficient holds the same frozen value (the tail is conceptually
-    infinite).  An expansion that holds fewer partials than the depth it
-    was asked for ended early because some remainder 1 - D_k was
-    identically zero: the source was a rational function and the stored
-    partials are complete.
+    leading and head are Fractions and partials is a tuple of Fractions.
+    periodic_from, None unless set, is the 1-based index from which every
+    partial coefficient holds the same frozen value (the tail is
+    conceptually infinite).  An expansion that holds fewer partials than
+    the depth it was asked for ended early because some remainder 1 - D_k
+    was identically zero: the source was a rational function and the
+    stored partials are complete.
     """
 
-    leading: Fraction
-    head: Fraction
-    partials: tuple[Fraction, ...]
-    periodic_from: int | None = None
+    __slots__ = ()
 
     @property
     def depth(self) -> int:

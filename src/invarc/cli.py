@@ -15,6 +15,13 @@ required flag given, is read from the option table without argparse.
 Any other argv (--help, --flag=value, an abbreviation, a negative value,
 a usage error) goes to argparse, built from the same table.
 
+Every command is a short-lived process, so importing this module loads
+little: numeric, and from the standard library os, stat, errno, types,
+math and collections.  Its annotations are evaluated at import (there is
+no __future__ import), so those naming a type it does not import are
+strings.  argparse loads only for an argv that is not plain, and the
+symbolic layers only in the handlers that run them.
+
 Exit codes: 0 success, 1 usage error, 2 a verify-series reference
 mismatch, a domain refusal or output that cannot be written (an --out
 file, or stdout: a full device, a pipe with no reader, a closed
@@ -37,14 +44,10 @@ write would leave, the old file's or else 0666 less the umask (not its
 owner or ACLs), and writes straight to a FIFO or a device.
 """
 
-from __future__ import annotations
-
-import contextlib
 import errno
 import os
 import stat
 import sys
-from collections.abc import Iterable
 from types import SimpleNamespace
 
 # the symbolic layers load inside the handlers that run them, so
@@ -88,7 +91,7 @@ def _fraction(text: str):
         raise _BadValue(f"not a fraction: {text!r}")
 
 
-def _drain(pieces: Iterable[str], handle) -> None:
+def _drain(pieces: "Iterable[str]", handle) -> None:
     """Write each piece, then flush, so that a failed buffered write raises
     here and not at exit."""
     for piece in pieces:
@@ -96,7 +99,7 @@ def _drain(pieces: Iterable[str], handle) -> None:
     handle.flush()
 
 
-def _write_out(pieces: Iterable[str], out: str) -> None:
+def _write_out(pieces: "Iterable[str]", out: str) -> None:
     target = os.path.realpath(out)
     try:
         mode = os.stat(target).st_mode
@@ -118,8 +121,10 @@ def _write_out(pieces: Iterable[str], out: str) -> None:
             _drain(pieces, handle)
         os.replace(tmp, target)
     except BaseException:
-        with contextlib.suppress(OSError):
+        try:
             os.unlink(tmp)
+        except OSError:
+            pass
         raise
 
 
@@ -135,7 +140,7 @@ _TABLE_LABELS = {
 }
 
 
-def _cmd_verify_series(args) -> tuple[int, Iterable[str]]:
+def _cmd_verify_series(args) -> "tuple[int, Iterable[str]]":
     from .derivation import full_report
     from .reference import CFRAC_PARTIALS, REFERENCE_SERIES
 
@@ -171,7 +176,7 @@ def _cmd_verify_series(args) -> tuple[int, Iterable[str]]:
     return (2 if mismatches else 0), ["\n".join(lines) + "\n"]
 
 
-def _cmd_cfrac(args) -> tuple[int, Iterable[str]]:
+def _cmd_cfrac(args) -> "tuple[int, Iterable[str]]":
     if args.freeze is None and args.freeze_from is not None:
         raise UsageError("--freeze-from needs --freeze")
     from .cfrac import (
@@ -213,7 +218,7 @@ _ERROR_ROW_FORMAT = "\t".join(["%.17g"] * len(ERROR_TABLE_COLUMNS))
 _SWEEP_BLOCK = 1024
 
 
-def _cmd_error_table(args) -> tuple[int, Iterable[str]]:
+def _cmd_error_table(args) -> "tuple[int, Iterable[str]]":
     low, high, steps = args.lambda_min, args.lambda_max, args.steps
     if not (0.0 <= low <= high < 1.0):
         raise UsageError(f"need 0 <= lambda-min <= lambda-max < 1, got {low} and {high}")
@@ -233,7 +238,7 @@ def _cmd_error_table(args) -> tuple[int, Iterable[str]]:
     return 0, map(block, range(0, steps + 1, _SWEEP_BLOCK))
 
 
-def _cmd_invert(args) -> tuple[int, Iterable[str]]:
+def _cmd_invert(args) -> "tuple[int, Iterable[str]]":
     a, b, lam, h = invert_from_measurements(args.perimeter, args.axis_sum)
     return 0, [f"a: {a:.17g}\nb: {b:.17g}\nlambda: {lam:.17g}\nh: {h:.17g}\n"]
 

@@ -16,11 +16,11 @@ here, so the commands that need only floats never load this module.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple
 
-from .cfrac import CFraction, cfrac_expand, ramanujan_series
+from .cfrac import cfrac_expand, ramanujan_series
 from .numeric import ivory_coefficient
 from .series import PowerSeries
 
@@ -82,15 +82,13 @@ def true_inverse_series(order: int) -> PowerSeries:
     return PowerSeries([0] + [Fraction(16 * c, 4**k) for k, c in enumerate(x[1:], 1)])
 
 
-class DerivationReport(NamedTuple):
-    """Every series of the pipeline at one working order, plus the fraction."""
+class DerivationReport(namedtuple("DerivationReport", (
+    "ivory", "h_series", "true_series", "approx_series", "difference", "cfrac_true",
+))):
+    """Every series of the pipeline at one working order, plus the fraction:
+    five PowerSeries and the CFraction of the true inverse."""
 
-    ivory: PowerSeries
-    h_series: PowerSeries
-    true_series: PowerSeries
-    approx_series: PowerSeries
-    difference: PowerSeries
-    cfrac_true: CFraction
+    __slots__ = ()
 
 
 def full_report(order: int) -> DerivationReport:

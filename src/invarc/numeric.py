@@ -17,28 +17,26 @@ error there is five orders below the signal but not below the printed
 digits: diff and normalized keep about 4.5 correct digits.
 
 This is the float layer: it imports no other invarc module, so error-table
-and invert load none of the symbolic ones.  It holds the one memo of
-Ivory's coefficients, which derivation reads too; fractions is imported
-only when that memo grows, and decimal only for an out-of-range bound in
-an invert refusal.
+and invert load none of the symbolic ones.  Every command imports it, so
+it imports only sys, math, _thread and collections at the top: its
+records are collections.namedtuple subclasses, not typing.NamedTuple,
+and it has no __future__ import, so an annotation that names Fraction is
+a string.  It holds the one memo of Ivory's coefficients, which
+derivation reads too; fractions is imported only when that memo grows,
+and decimal only for an out-of-range bound in an invert refusal.
 """
 
-from __future__ import annotations
-
+import _thread
 import math
 import sys
-import threading
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from collections import namedtuple
 
 
 class NumericError(ArithmeticError):
     """Any numeric-engine refusal; the message names which."""
 
 
-class Ellipse(NamedTuple("Ellipse", [("a", float), ("b", float)])):
+class Ellipse(namedtuple("Ellipse", ("a", "b"))):
     """Finite semiaxes a >= b >= 0 with a > 0; b = 0 is the degenerate segment."""
 
     __slots__ = ()
@@ -63,7 +61,7 @@ AGM_MAX_ITER = 64
 SERIES_MAX_TERMS = 10000
 
 
-class PrecisionConfig(NamedTuple("PrecisionConfig", [("abs_tol", float)])):
+class PrecisionConfig(namedtuple("PrecisionConfig", ("abs_tol",))):
     """Stopping control for the iterative engines; abs_tol lies in
     (0, ABS_TOL_CEILING]."""
 
@@ -94,11 +92,11 @@ ERROR_TABLE_COLUMNS = ("lambda", "h", "lambda_sq_true", "lambda_sq_approx", "dif
 # fractions.  Grown only under the lock and only by appending in index
 # order, so every entry below the current length is final and can be read
 # without it.
-_IVORY_COEFFS: list[Fraction] = []
-_IVORY_LOCK = threading.Lock()
+_IVORY_COEFFS: "list[Fraction]" = []
+_IVORY_LOCK = _thread.allocate_lock()  # what threading.Lock() returns
 
 
-def ivory_coefficient(n: int) -> Fraction:
+def ivory_coefficient(n: int) -> "Fraction":
     """binom(1/2, n)^2, the coefficient of lambda^(2n) in the perimeter series."""
     if n < 0:
         raise ValueError("coefficient index must be non-negative")
@@ -339,15 +337,12 @@ def _circle_bound(mantissa: float, exponent: int) -> str:
     return f"{exact:.17g}"
 
 
-class Inversion(NamedTuple):
+class Inversion(namedtuple("Inversion", ("a", "b", "lam", "h"))):
     """What `invert` prints, in print order: the semiaxes, the shape
     parameter and the excess h.  The third field is `lam` because `lambda`
     is a Python keyword."""
 
-    a: float
-    b: float
-    lam: float
-    h: float
+    __slots__ = ()
 
 
 def invert_from_measurements(perimeter: float, axis_sum: float) -> Inversion:

@@ -13,10 +13,10 @@ can be shared freely between threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
 
-Coefficient = Union[Fraction, int, str]
+Coefficient = Fraction | int | str
 
 
 class SeriesError(ArithmeticError):

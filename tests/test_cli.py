@@ -50,6 +50,21 @@ def test_help_exits_zero(capsys, monkeypatch):
     for argv, shown in [((), parser), *(((name,), sub) for name, sub in commands.items())]:
         assert invoke(capsys, *argv, "--help") == (0, shown.format_help(), "")
     assert list(commands) == ["verify-series", "cfrac", "error-table", "invert"]
+    # the program's name and, under the usage line, the docstring's first line
+    assert parser.format_help().startswith("usage: invarc [-h]")
+    assert parser.format_help().split("\n\n")[1] == "Command-line front end."
+    assert commands["invert"].format_help().startswith("usage: invarc invert [-h]")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("error-table", "--lambda-min", "x"), "--lambda-min"),
+    (("invert", "--perimeter", "x", "--sum", "2"), "--perimeter"),
+])
+def test_a_float_flag_that_does_not_convert_names_its_type(capsys, argv, flag):
+    # argparse names the converter it was given, float, not a wrapper
+    assert invoke(capsys, *argv) == (
+        1, "", f"usage error: argument {flag}: invalid float value: 'x'\n"
+    )
 
 
 def test_verify_series_text(capsys):
@@ -416,6 +431,23 @@ def test_error_table_out_file_atomic(tmp_path, capsys):
     assert content.startswith("lambda\t")
     assert "stale" not in content
     assert [p.name for p in tmp_path.iterdir()] == ["rows.tsv"]
+
+
+@pytest.mark.parametrize("gone", [False, True], ids=["present", "gone"])
+def test_out_interrupted_write_removes_its_temp_file_and_reraises(tmp_path, gone):
+    # not only an Exception: an interrupt part way removes the temp file
+    # too, and an unlink that fails as well (the temp file already gone)
+    # does not hide what interrupted the write
+    def pieces():
+        yield "lambda\n"
+        if gone:
+            for stray in tmp_path.glob(".invarc-*"):
+                stray.unlink()
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        cli._write_out(pieces(), str(tmp_path / "rows.tsv"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_temp_file_names_are_fresh(tmp_path, capsys, monkeypatch):
@@ -947,22 +979,54 @@ def test_runtime_imports_only_the_standard_library():
     assert "invarc.cli" in loaded
     foreign = {"scipy", "mpmath", "sympy", "hypothesis", "numpy"}
     assert [m for m in loaded if m.split(".")[0] in foreign] == []
-    # the records are NamedTuples: dataclasses and the inspect machinery it
-    # pulls in would more than double the import time; argparse loads only
-    # when a run needs it
+    # the records are collections.namedtuple subclasses: dataclasses and
+    # the inspect machinery it pulls in would more than double the import
+    # time (typing.NamedTuple costs typing; see the cold-start test below);
+    # argparse loads only when a run needs it
     assert [m for m in loaded if m in ("dataclasses", "inspect", *ARGPARSE_MODULES)] == []
 
 
-def test_importing_the_cli_loads_no_tempfile():
-    # --out names and creates its own temp file; -S keeps out what site loads
+# What every command would pay for at start and needs none of: typing,
+# __future__, threading and contextlib, and what they pull in (re, enum,
+# functools, warnings); --out names and creates its own temp file, so no
+# tempfile either.
+COLD_START_EXCLUDED = (
+    "typing", "re", "enum", "functools", "contextlib", "threading", "warnings", "__future__",
+    "tempfile",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ((), 0),
+        # rows at 0.3 and 0.35 take the exact path, the row at 0.4 the float path
+        (("error-table", "--lambda-min", "0.3", "--lambda-max", "0.4", "--steps", "2"), 0),
+        (INVERT_ARGS, 0),
+        (("invert", "--perimeter", "3", "--sum", "1"), 2),
+    ],
+    ids=["import", "error-table", "invert", "invert-refused"],
+)
+def test_cold_start_loads_only_what_it_needs(argv, code):
+    # -S keeps out what site loads, which may import any of these first;
+    # what the interpreter loaded before the import (warnings, under
+    # PYTHONWARNINGS or development mode) does not count
     import subprocess
     import sys
 
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
-    script = "import sys, invarc.cli; print('tempfile' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
-                          env=env)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import invarc.cli\n"
+        "code = invarc.cli.run(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        f"added = set({COLD_START_EXCLUDED!r}) & (set(sys.modules) - before)\n"
+        "print('loaded:', *sorted(added), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script, *argv], capture_output=True,
+                          text=True, env=env)
+    assert (proc.returncode, proc.stderr.splitlines()[-1]) == (code, "loaded:"), proc.stderr
 
 
 # What only verify-series and cfrac need; the float commands load none of it.

@@ -1,5 +1,7 @@
-"""The package's records: immutable, hashable, with a Name(field=value) repr,
-and the two validating records refuse bad input however it is passed."""
+"""The package's records: tuples with their listed fields (so _replace,
+_asdict and unpacking work), immutable, hashable, with a Name(field=value)
+repr, and the two validating records refuse bad input however it is
+passed."""
 
 from fractions import Fraction as F
 
@@ -7,7 +9,7 @@ import pytest
 
 from invarc.cfrac import CFraction
 from invarc.derivation import full_report
-from invarc.numeric import Ellipse, NumericError, PrecisionConfig
+from invarc.numeric import Ellipse, Inversion, NumericError, PrecisionConfig
 
 # (factory, field names, bad field values with the message each gets); each
 # call of the factory builds an equal instance
@@ -36,6 +38,12 @@ RECORDS = [
         id="Ellipse",
     ),
     pytest.param(
+        lambda: Inversion(1.5, 0.5, 0.5, 0.0625),
+        ("a", "b", "lam", "h"),
+        (),
+        id="Inversion",
+    ),
+    pytest.param(
         lambda: PrecisionConfig(),
         ("abs_tol",),
         (
@@ -51,10 +59,15 @@ RECORDS = [
 @pytest.mark.parametrize("make, fields, rejects", RECORDS)
 def test_records_are_frozen_hashable_keep_their_repr_and_checks(make, fields, rejects):
     record, twin = make(), make()
+    assert isinstance(record, tuple) and record._fields == fields
+    values = tuple(getattr(record, name) for name in fields)
+    assert tuple(record) == values and record._asdict() == dict(zip(fields, values))
+    assert record._replace() == record
     assert record == twin and hash(record) == hash(twin)
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
+    assert not hasattr(record, "__dict__")  # a subclass keeps __slots__ = ()
     body = ", ".join(f"{name}={getattr(record, name)!r}" for name in fields)
     assert repr(record) == f"{type(record).__name__}({body})"
     cls = type(record)
