@@ -13,8 +13,6 @@ partials are those of 4h - 3h^2/(2 + sqrt(1 - 3h)) into that expression.
 Everything is exact rational arithmetic; no floats enter this module.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from fractions import Fraction

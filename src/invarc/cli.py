@@ -34,7 +34,7 @@ Output uses LF line endings and is byte-identical across runs for a given
 invocation.  Each handler raises every refusal in its own body, so
 before the first byte, and then returns (exit code, pieces of text),
 which run() writes in order.  verify-series, cfrac and invert return one
-piece; error-table returns a lazy map over its 1,024-row blocks, each
+piece; error-table returns a lazy map over its 256-row blocks, each
 swept only when it is written, and keeps no row, so its memory does not
 grow with --steps.  A crash or a failed write part way (not a
 refusal) can leave a partial table on stdout but never a partial --out
@@ -215,7 +215,7 @@ _ERROR_ROW_FORMAT = "\t".join(["%.17g"] * len(ERROR_TABLE_COLUMNS))
 
 # rows per error_sweep call: a block is swept, formatted and written before
 # the next one starts, and nothing of it is kept
-_SWEEP_BLOCK = 1024
+_SWEEP_BLOCK = 256
 
 
 def _cmd_error_table(args) -> "tuple[int, Iterable[str]]":

@@ -14,8 +14,6 @@ Ivory's coefficients from the float layer's memo
 here, so the commands that need only floats never load this module.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from operator import mul

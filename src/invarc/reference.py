@@ -5,8 +5,6 @@ compares freshly generated series against them and reports anything beyond
 the tables as merely derived.  All entries are exact rationals.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction as F
 
 # Keyed by series name, then by power of the series variable

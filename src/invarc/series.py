@@ -10,8 +10,6 @@ All values are immutable and all operations are pure functions, so series
 can be shared freely between threads.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction

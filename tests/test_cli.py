@@ -107,6 +107,26 @@ def test_verify_series_text_golden(capsys):
     assert out == expected + "reference check: 52 coefficients match\n"
 
 
+@pytest.mark.parametrize("argv", [("--order=12",), ("--ord", "12")], ids=["flag=value", "abbrev"])
+def test_verify_series_text_golden_through_argparse(capsys, argv):
+    # spellings the plain reader declines, so argparse reads them
+    assert cli._read_plain(["verify-series", *argv]) is None
+    code, out, err = invoke(capsys, "verify-series", *argv)
+    expected = (FIXTURES / "report_order12.txt").read_bytes()
+    assert (code, out.encode(), err) == (0, expected + b"reference check: 52 coefficients match\n", "")
+
+
+def test_verify_series_order_80_tsv_begins_with_the_order_40_table(capsys):
+    # a higher order changes no coefficient it shares with a lower one: the
+    # header, the series rows through h^40 and the partials through a_38
+    code, out, err = invoke(capsys, "verify-series", "--order", "80", "--format", "tsv")
+    assert (code, err) == (0, "")
+    header, *lines = out.splitlines(keepends=True)
+    kept = [line for line in lines
+            if int(line.split("\t")[1]) <= (38 if line.startswith("cfrac-partials\t") else 40)]
+    assert (header + "".join(kept)).encode() == (FIXTURES / "verify_series_order40.tsv").read_bytes()
+
+
 def test_verify_series_reports_a_reference_mismatch(monkeypatch, capsys):
     # three wrong references, in table order: two series, then a partial
     monkeypatch.setitem(REFERENCE_SERIES["true"], 6, Fraction(-1))
@@ -481,11 +501,18 @@ def _error_table_argv(lo, hi, steps):
             "--steps", str(steps)]
 
 
+# rows per block; the row counts and calls below follow it
+B = cli._SWEEP_BLOCK
+
+
 # --steps is at least 1, so 2 rows is the smallest table; the grid crosses
-# the exact/float cutoff at 0.35, so blocks mix both row paths
-@pytest.mark.parametrize("rows", [2, 1023, 1024, 1025, 2048, 2049])
+# the exact/float cutoff at 0.35, so blocks mix both row paths; row counts
+# straddle the ends of the first, second, fourth and eighth blocks
+@pytest.mark.parametrize("rows", [2, B - 1, B, B + 1, 2 * B, 2 * B + 1,
+                                  4 * B - 1, 4 * B, 4 * B + 1, 8 * B, 8 * B + 1])
 def test_error_table_blocks_match_the_one_shot_rendering(tmp_path, capsys, rows):
-    assert cli._SWEEP_BLOCK == 1024
+    # the size test_error_table_peak_with_the_real_sweep_is_one_block measured
+    assert cli._SWEEP_BLOCK == 256
     argv = _error_table_argv(0.3, 0.4, rows - 1)
     expected = _one_shot_error_table(0.3, 0.4, rows - 1)
     assert expected.count("\n") == rows + 1
@@ -495,8 +522,9 @@ def test_error_table_blocks_match_the_one_shot_rendering(tmp_path, capsys, rows)
     assert target.read_bytes() == expected.encode()
 
 
-@pytest.mark.parametrize("rows, blocks", [(1024, [1024]), (2048, [1024, 1024]),
-                                          (2049, [1024, 1024, 1])])
+@pytest.mark.parametrize("rows, blocks", [(4 * B, [B] * 4), (8 * B, [B] * 8),
+                                          (8 * B + 1, [B] * 8 + [1]), (B, [B]),
+                                          (2 * B, [B, B]), (2 * B + 1, [B, B, 1])])
 def test_error_table_sweeps_full_blocks_and_no_empty_one(capsys, monkeypatch, rows, blocks):
     calls = []
 
@@ -535,8 +563,8 @@ def test_error_table_refusal_in_a_later_block_writes_nothing(
     tmp_path, capsys, monkeypatch, target, failing
 ):
     # a failure no check before the sweep can foresee (a fake sweep's) comes
-    # after every earlier block is written: in the second block stdout keeps
-    # the header and the first 1,024 rows, in the first it keeps nothing,
+    # after every earlier block is written: in the second, a partial one,
+    # stdout keeps the header and the first B rows, in the first it keeps nothing,
     # then the one error line; --out writes nothing, though its temp file
     # is open while the first block is swept
     calls = []
@@ -548,15 +576,16 @@ def test_error_table_refusal_in_a_later_block_writes_nothing(
         return [value for lam in grid for value in (lam, 0.0, 0.0, 0.0, 0.0, -1.25)]
 
     monkeypatch.setattr(cli, "error_sweep", sweep)
+    steps = B + B // 2  # a full block, then one of B // 2 + 1 rows
     written = ""
     if target is None and failing == 2:  # the header and the first block
-        table = _one_shot_error_table(0.0, 0.2, 1500)
-        written = "".join(table.splitlines(keepends=True)[:1025])
+        table = _one_shot_error_table(0.0, 0.2, steps)
+        written = "".join(table.splitlines(keepends=True)[:B + 1])
         calls.clear()
-    argv = _target_argv(_error_table_argv(0.0, 0.2, 1500), tmp_path, target)
+    argv = _target_argv(_error_table_argv(0.0, 0.2, steps), tmp_path, target)
     code, stdout, err = invoke(capsys, *argv)
     assert (code, stdout, err) == (2, written, "error: refused in a block\n")
-    assert calls == [1024, 477][:failing]
+    assert calls == [B, B // 2 + 1][:failing]
     _assert_target_untouched(tmp_path, target)
 
 
@@ -627,15 +656,16 @@ def test_error_table_grid_never_decreases(a, b, steps):
         assert (code, swept, out) == (2, [], "")
 
 
-def _error_table_peak(steps):
-    # traced allocations over a whole error-table run, its table written
-    # to a sink that keeps only the length; a stand-in sweep gives each row
-    # six distinct floats, as the real one does, many times faster under
-    # tracing than the float AGM
-    import tracemalloc
+def _stand_in_sweep(grid, cfg):
+    # six distinct floats a row, as the real sweep gives, many times faster
+    # under tracing than the float AGM
+    return [v for lam in grid for v in (lam, lam / 3, lam * lam, lam + 1, -lam, -1 - lam)]
 
-    def sweep(grid, cfg):
-        return [v for lam in grid for v in (lam, lam / 3, lam * lam, lam + 1, -lam, -1 - lam)]
+
+def _error_table_peak(steps, sweep=_stand_in_sweep):
+    # traced allocations over a whole error-table run on the float grid
+    # 0.36..0.99, its table written to a sink that keeps only the length
+    import tracemalloc
 
     class Sink:
         length = 0
@@ -666,6 +696,17 @@ def test_error_table_memory_stays_below_its_text():
     large, text_length = _error_table_peak(80000)
     assert large <= 1.1 * small, (small, large)
     assert large < 0.1 * text_length, (large, text_length)
+
+
+def test_error_table_peak_with_the_real_sweep_is_one_block():
+    # the real float sweep, not a stand-in: the peak is one block's, the
+    # same for 50,001 rows as for 5,001.  With 256-row blocks it measured
+    # 141,000 bytes (CPython 3.11), so the bound is twice that; 1,024-row
+    # blocks measured 553,000 and fail it
+    small, _ = _error_table_peak(5000, numeric.error_sweep)
+    large, _ = _error_table_peak(50000, numeric.error_sweep)
+    assert max(small, large) <= 1.1 * min(small, large), (small, large)
+    assert max(small, large) < 2 * 141_000, (small, large)
 
 
 def test_invert_output(capsys):
@@ -997,17 +1038,22 @@ COLD_START_EXCLUDED = (
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, excluded",
     [
-        ((), 0),
+        ((), 0, COLD_START_EXCLUDED),
         # rows at 0.3 and 0.35 take the exact path, the row at 0.4 the float path
-        (("error-table", "--lambda-min", "0.3", "--lambda-max", "0.4", "--steps", "2"), 0),
-        (INVERT_ARGS, 0),
-        (("invert", "--perimeter", "3", "--sum", "1"), 2),
+        (("error-table", "--lambda-min", "0.3", "--lambda-max", "0.4", "--steps", "2"), 0,
+         COLD_START_EXCLUDED),
+        (INVERT_ARGS, 0, COLD_START_EXCLUDED),
+        (("invert", "--perimeter", "3", "--sum", "1"), 2, COLD_START_EXCLUDED),
+        # fractions loads re and what it pulls in, but no symbolic layer
+        # needs typing or a __future__ import
+        (("verify-series", "--order", "12"), 0, ("typing", "__future__")),
+        (("cfrac", "--depth", "5"), 0, ("typing", "__future__")),
     ],
-    ids=["import", "error-table", "invert", "invert-refused"],
+    ids=["import", "error-table", "invert", "invert-refused", "verify-series", "cfrac"],
 )
-def test_cold_start_loads_only_what_it_needs(argv, code):
+def test_cold_start_loads_only_what_it_needs(argv, code, excluded):
     # -S keeps out what site loads, which may import any of these first;
     # what the interpreter loaded before the import (warnings, under
     # PYTHONWARNINGS or development mode) does not count
@@ -1020,7 +1066,7 @@ def test_cold_start_loads_only_what_it_needs(argv, code):
         "before = set(sys.modules)\n"
         "import invarc.cli\n"
         "code = invarc.cli.run(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        f"added = set({COLD_START_EXCLUDED!r}) & (set(sys.modules) - before)\n"
+        f"added = set({excluded!r}) & (set(sys.modules) - before)\n"
         "print('loaded:', *sorted(added), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )

@@ -69,8 +69,6 @@ def _imports(scope) -> list[str]:
         node = stack.pop()
         if isinstance(node, _FUNCTIONS):
             continue
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
         stack.extend(ast.iter_child_nodes(node))
