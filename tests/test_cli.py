@@ -339,10 +339,12 @@ def test_cfrac_bad_fraction(capsys):
 
 
 def test_cfrac_freeze_from_out_of_range(capsys):
-    code, _, err = invoke(capsys, "cfrac", "--depth", "3", "--freeze", "3/4",
-                          "--freeze-from", "9")
-    assert code == 2
-    assert err != ""
+    # a freeze index past the depth is refused with one error line and no output
+    for depth, start in (("3", "9"), ("6", "7")):
+        assert invoke(capsys, "cfrac", "--depth", depth, "--freeze", "3/4",
+                      "--freeze-from", start) == (
+            2, "", f"error: freeze index {start} outside 1..{depth}\n"
+        )
 
 
 def test_cfrac_freeze_from_needs_freeze(capsys):
@@ -505,17 +507,25 @@ def _error_table_argv(lo, hi, steps):
 B = cli._SWEEP_BLOCK
 
 
-# --steps is at least 1, so 2 rows is the smallest table; the grid crosses
-# the exact/float cutoff at 0.35, so blocks mix both row paths; row counts
-# straddle the ends of the first, second, fourth and eighth blocks
-@pytest.mark.parametrize("rows", [2, B - 1, B, B + 1, 2 * B, 2 * B + 1,
-                                  4 * B - 1, 4 * B, 4 * B + 1, 8 * B, 8 * B + 1])
-def test_error_table_blocks_match_the_one_shot_rendering(tmp_path, capsys, rows):
+# --steps is at least 1, so 2 rows is the smallest table; the grids on
+# 0.3..0.4 cross the exact/float cutoff at 0.35, so blocks mix both row
+# paths, and their row counts straddle the ends of the first, second,
+# fourth and eighth blocks; the last two are 3,001 rows (12 blocks, the
+# last one partial) and the benchmark's 50,001-row float table (196
+# blocks); each id is the row count
+@pytest.mark.parametrize("lo, hi, steps", [
+    *(pytest.param(0.3, 0.4, rows - 1, id=str(rows))
+      for rows in (2, B - 1, B, B + 1, 2 * B, 2 * B + 1, 4 * B - 1, 4 * B, 4 * B + 1,
+                   8 * B, 8 * B + 1)),
+    pytest.param(0.3, 0.99, 3000, id="3001"),
+    pytest.param(0.36, 0.99, 50000, id="50001"),
+])
+def test_error_table_blocks_match_the_one_shot_rendering(tmp_path, capsys, lo, hi, steps):
     # the size test_error_table_peak_with_the_real_sweep_is_one_block measured
     assert cli._SWEEP_BLOCK == 256
-    argv = _error_table_argv(0.3, 0.4, rows - 1)
-    expected = _one_shot_error_table(0.3, 0.4, rows - 1)
-    assert expected.count("\n") == rows + 1
+    argv = _error_table_argv(lo, hi, steps)
+    expected = _one_shot_error_table(lo, hi, steps)
+    assert expected.count("\n") == steps + 2
     assert invoke(capsys, *argv) == (0, expected, "")
     target = tmp_path / "rows.tsv"
     assert invoke(capsys, *argv, "--out", str(target)) == (0, "", "")
@@ -721,6 +731,14 @@ def test_invert_output(capsys):
     assert lines[3].startswith("h: 0.027976283460026")
 
 
+def test_invert_keeps_the_float_pi_as_a_circle(capsys):
+    # math.pi lies below the true pi, yet a perimeter of math.pi times the
+    # sum is the circle: h = 0, so lambda = 0 and a = b = sum/2, exactly
+    assert invoke(capsys, "invert", "--perimeter", "3.141592653589793", "--sum", "1") == (
+        0, "a: 0.5\nb: 0.5\nlambda: 0\nh: 0\n", ""
+    )
+
+
 def test_invert_out_of_range(capsys):
     code, _, err = invoke(capsys, "invert", "--perimeter", "3.0", "--sum", "1.0")
     assert code == 2
@@ -788,17 +806,18 @@ def test_readme_command_runs(tmp_path, monkeypatch, capsys, line):
     assert (code, err) == (0, "")
 
 
-def test_module_entry_point():
+def test_module_entry_point(capsys):
+    # python -m invarc prints what run() prints in-process, byte for byte
     import subprocess
     import sys
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "invarc", "cfrac", "--depth", "4"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert "31/36" in proc.stdout
+    argv = ("cfrac", "--depth", "4")
+    proc = subprocess.run([sys.executable, "-m", "invarc", *argv], capture_output=True,
+                          text=True)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "31/36" in out
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 ERROR_TABLE_ARGS = ("error-table", "--lambda-min", "0.36", "--lambda-max", "0.4", "--steps", "1")
