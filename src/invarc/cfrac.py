@@ -14,9 +14,9 @@ Everything is exact rational arithmetic; no floats enter this module.
 """
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 
+from .numeric import _Record
 from .series import PowerSeries, _scaled
 
 
@@ -28,8 +28,7 @@ class NotInRamanujanShape(CFracError):
     """Collapse requested for a fraction outside the supported shape."""
 
 
-class CFraction(namedtuple("CFraction", ("leading", "head", "partials", "periodic_from"),
-                           defaults=(None,))):
+class CFraction(_Record):
     """Normal-form continued fraction data.
 
     leading and head are Fractions and partials is a tuple of Fractions.
@@ -42,6 +41,11 @@ class CFraction(namedtuple("CFraction", ("leading", "head", "partials", "periodi
     """
 
     __slots__ = ()
+    _fields = ("leading", "head", "partials", "periodic_from")
+
+    def __new__(cls, leading: Fraction, head: Fraction, partials: tuple[Fraction, ...],
+                periodic_from: int | None = None):
+        return super().__new__(cls, leading, head, partials, periodic_from)
 
     @property
     def depth(self) -> int:

@@ -17,10 +17,11 @@ a usage error) goes to argparse, built from the same table.
 
 Every command is a short-lived process, so importing this module loads
 little: numeric, and from the standard library os, stat, errno, types,
-math and collections.  Its annotations are evaluated at import (there is
-no __future__ import), so those naming a type it does not import are
-strings.  argparse loads only for an argv that is not plain, and the
-symbolic layers only in the handlers that run them.
+math and operator, and it compiles no source.  Its annotations are
+evaluated at import (there is no __future__ import), so those naming a
+type it does not import are strings.  argparse loads only for an argv
+that is not plain, and the symbolic layers only in the handlers that run
+them.
 
 Exit codes: 0 success, 1 usage error, 2 a verify-series reference
 mismatch, a domain refusal or output that cannot be written (an --out

@@ -14,12 +14,11 @@ Ivory's coefficients from the float layer's memo
 here, so the commands that need only floats never load this module.
 """
 
-from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
 from .cfrac import cfrac_expand, ramanujan_series
-from .numeric import ivory_coefficient
+from .numeric import _Record, ivory_coefficient
 from .series import PowerSeries
 
 
@@ -80,13 +79,12 @@ def true_inverse_series(order: int) -> PowerSeries:
     return PowerSeries([0] + [Fraction(16 * c, 4**k) for k, c in enumerate(x[1:], 1)])
 
 
-class DerivationReport(namedtuple("DerivationReport", (
-    "ivory", "h_series", "true_series", "approx_series", "difference", "cfrac_true",
-))):
+class DerivationReport(_Record):
     """Every series of the pipeline at one working order, plus the fraction:
     five PowerSeries and the CFraction of the true inverse."""
 
     __slots__ = ()
+    _fields = ("ivory", "h_series", "true_series", "approx_series", "difference", "cfrac_true")
 
 
 def full_report(order: int) -> DerivationReport:
@@ -101,10 +99,10 @@ def full_report(order: int) -> DerivationReport:
     true = true_inverse_series(order)
     approx = ramanujan_series(order)
     return DerivationReport(
-        ivory=ivory_series(order),
-        h_series=h_series(order),
-        true_series=true,
-        approx_series=approx,
-        difference=true - approx,
-        cfrac_true=cfrac_expand(true, order - 2),
+        ivory_series(order),
+        h_series(order),
+        true,
+        approx,
+        true - approx,
+        cfrac_expand(true, order - 2),
     )

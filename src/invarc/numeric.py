@@ -18,28 +18,71 @@ digits: diff and normalized keep about 4.5 correct digits.
 
 This is the float layer: it imports no other invarc module, so error-table
 and invert load none of the symbolic ones.  Every command imports it, so
-it imports only sys, math, _thread and collections at the top: its
-records are collections.namedtuple subclasses, not typing.NamedTuple,
-and it has no __future__ import, so an annotation that names Fraction is
-a string.  It holds the one memo of Ivory's coefficients, which
-derivation reads too; fractions is imported only when that memo grows,
-and decimal only for an out-of-range bound in an invert refusal.
+it imports only sys, math, _thread and operator at the top: every record
+of the package, here and in cfrac and derivation, derives from its
+_Record, not from collections.namedtuple, whose factory compiles source
+for each class, nor typing.NamedTuple; and it has no __future__ import,
+so an annotation that names Fraction is a string.  It holds the one memo
+of Ivory's coefficients, which derivation reads too; fractions is
+imported only when that memo grows, and decimal only for an
+out-of-range bound in an invert refusal.
 """
 
 import _thread
 import math
 import sys
-from collections import namedtuple
+from operator import itemgetter
 
 
 class NumericError(ArithmeticError):
     """Any numeric-engine refusal; the message names which."""
 
 
-class Ellipse(namedtuple("Ellipse", ("a", "b"))):
+class _Record(tuple):
+    """A tuple whose items are read by the names in its class's _fields.
+
+    It keeps what the package used of collections.namedtuple: positional
+    construction, read-only fields, _asdict, _replace, the
+    Name(field=value) repr, and tuple equality and hashing.  _replace,
+    copy and pickle rebuild through the class constructor, so a record
+    that checks its fields in __new__ checks them there too.  A record
+    that takes keywords or a default says so in its own __new__.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(index), doc=f"Alias for field number {index}"))
+
+    def __new__(cls, *values):
+        if len(values) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(values)}")
+        return tuple.__new__(cls, values)
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({body})"
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def _replace(self, **changes):
+        values = [changes.pop(name, value) for name, value in zip(self._fields, self)]
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return type(self)(*values)
+
+
+class Ellipse(_Record):
     """Finite semiaxes a >= b >= 0 with a > 0; b = 0 is the degenerate segment."""
 
     __slots__ = ()
+    _fields = ("a", "b")
 
     def __new__(cls, a: float, b: float):
         if not (0 < a < math.inf):
@@ -61,11 +104,12 @@ AGM_MAX_ITER = 64
 SERIES_MAX_TERMS = 10000
 
 
-class PrecisionConfig(namedtuple("PrecisionConfig", ("abs_tol",))):
+class PrecisionConfig(_Record):
     """Stopping control for the iterative engines; abs_tol lies in
     (0, ABS_TOL_CEILING]."""
 
     __slots__ = ()
+    _fields = ("abs_tol",)
 
     def __new__(cls, abs_tol: float = 1e-14):
         if not (0 < abs_tol < math.inf):
@@ -337,12 +381,13 @@ def _circle_bound(mantissa: float, exponent: int) -> str:
     return f"{exact:.17g}"
 
 
-class Inversion(namedtuple("Inversion", ("a", "b", "lam", "h"))):
+class Inversion(_Record):
     """What `invert` prints, in print order: the semiaxes, the shape
     parameter and the excess h.  The third field is `lam` because `lambda`
     is a Python keyword."""
 
     __slots__ = ()
+    _fields = ("a", "b", "lam", "h")
 
 
 def invert_from_measurements(perimeter: float, axis_sum: float) -> Inversion:

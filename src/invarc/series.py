@@ -11,7 +11,6 @@ can be shared freely between threads.
 """
 
 import math
-from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 Coefficient = Fraction | int | str
@@ -27,7 +26,7 @@ def _frac(value: Coefficient) -> Fraction:
     return Fraction(value)
 
 
-def _scaled(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+def _scaled(coeffs: "Sequence[Fraction]") -> tuple[list[int], int]:
     """Integers over the common denominator d: coeffs[i] == ints[i] / d."""
     d = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
@@ -38,7 +37,7 @@ class PowerSeries:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[Coefficient]):
+    def __init__(self, coeffs: "Iterable[Coefficient]"):
         tup = tuple(_frac(c) for c in coeffs)
         if not tup:
             raise ValueError("a series needs at least its constant term")
@@ -46,6 +45,11 @@ class PowerSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: the default restores
+        # the slot by setattr, which __setattr__ refuses
+        return type(self), (self._coeffs,)
 
     # -- construction helpers -------------------------------------------
 

@@ -1039,20 +1039,22 @@ def test_runtime_imports_only_the_standard_library():
     assert "invarc.cli" in loaded
     foreign = {"scipy", "mpmath", "sympy", "hypothesis", "numpy"}
     assert [m for m in loaded if m.split(".")[0] in foreign] == []
-    # the records are collections.namedtuple subclasses: dataclasses and
-    # the inspect machinery it pulls in would more than double the import
-    # time (typing.NamedTuple costs typing; see the cold-start test below);
-    # argparse loads only when a run needs it
+    # the records derive from numeric._Record: dataclasses and the inspect
+    # machinery it pulls in would more than double the import time
+    # (typing.NamedTuple costs typing, collections.namedtuple compiles
+    # source; see the cold-start tests below); argparse loads only when a
+    # run needs it
     assert [m for m in loaded if m in ("dataclasses", "inspect", *ARGPARSE_MODULES)] == []
 
 
 # What every command would pay for at start and needs none of: typing,
 # __future__, threading and contextlib, and what they pull in (re, enum,
 # functools, warnings); --out names and creates its own temp file, so no
-# tempfile either.
+# tempfile either; and collections, with the keyword and reprlib it loads,
+# since no record is a namedtuple.
 COLD_START_EXCLUDED = (
     "typing", "re", "enum", "functools", "contextlib", "threading", "warnings", "__future__",
-    "tempfile",
+    "tempfile", "collections", "keyword", "reprlib",
 )
 
 
@@ -1065,8 +1067,8 @@ COLD_START_EXCLUDED = (
          COLD_START_EXCLUDED),
         (INVERT_ARGS, 0, COLD_START_EXCLUDED),
         (("invert", "--perimeter", "3", "--sum", "1"), 2, COLD_START_EXCLUDED),
-        # fractions loads re and what it pulls in, but no symbolic layer
-        # needs typing or a __future__ import
+        # fractions loads re and what it pulls in, and decimal collections,
+        # but no symbolic layer needs typing or a __future__ import
         (("verify-series", "--order", "12"), 0, ("typing", "__future__")),
         (("cfrac", "--depth", "5"), 0, ("typing", "__future__")),
     ],
@@ -1092,6 +1094,45 @@ def test_cold_start_loads_only_what_it_needs(argv, code, excluded):
     proc = subprocess.run([sys.executable, "-S", "-c", script, *argv], capture_output=True,
                           text=True, env=env)
     assert (proc.returncode, proc.stderr.splitlines()[-1]) == (code, "loaded:"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code, preload",
+    [
+        ((), 0, ""),
+        (("error-table", "--lambda-min", "0.3", "--lambda-max", "0.4", "--steps", "2"), 0, ""),
+        (INVERT_ARGS, 0, ""),
+        (("invert", "--perimeter", "3", "--sum", "1"), 2, ""),
+        # decimal, which fractions loads, makes its DecimalTuple a namedtuple
+        (("verify-series", "--order", "12"), 0, "import fractions"),
+        (("cfrac", "--depth", "5"), 0, "import fractions"),
+    ],
+    ids=["import", "error-table", "invert", "invert-refused", "verify-series", "cfrac"],
+)
+def test_cold_start_compiles_no_source(argv, code, preload):
+    # collections.namedtuple compiles each record's __new__ from source,
+    # about 0.1 ms a class at start; an import that finds no cached
+    # bytecode compiles the module's file, which is not counted
+    import subprocess
+    import sys
+
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    script = (
+        "import sys\n"
+        f"{preload}\n"
+        "compiled = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'compile' and not str(args[1]).endswith('.py'):\n"
+        "        compiled.append(args[1])\n"
+        "sys.addaudithook(hook)\n"
+        "import invarc.cli\n"
+        "code = invarc.cli.run(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print('compiled:', *compiled, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script, *argv], capture_output=True,
+                          text=True, env=env)
+    assert (proc.returncode, proc.stderr.splitlines()[-1]) == (code, "compiled:"), proc.stderr
 
 
 # What only verify-series and cfrac need; the float commands load none of it.

@@ -1,8 +1,11 @@
 """The package's records: tuples with their listed fields (so _replace,
 _asdict and unpacking work), immutable, hashable, with a Name(field=value)
 repr, and the two validating records refuse bad input however it is
-passed."""
+passed, _replace included; a wrong field count raises TypeError, and copy
+and pickle give back an equal record."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -76,3 +79,32 @@ def test_records_are_frozen_hashable_keep_their_repr_and_checks(make, fields, re
             with pytest.raises(NumericError) as excinfo:
                 call()
             assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("make, fields, rejects", RECORDS)
+def test_replace_rebuilds_through_the_constructor(make, fields, rejects):
+    record = make()
+    cls = type(record)
+    for name in fields:
+        # half of a float keeps Ellipse and PrecisionConfig valid
+        old = getattr(record, name)
+        new = old / 2 if isinstance(old, float) else object()
+        changed = record._replace(**{name: new})
+        assert type(changed) is cls
+        assert changed._asdict() == {**record._asdict(), name: new}
+    with pytest.raises(ValueError, match="'nope'"):
+        record._replace(nope=1)
+    for args, message in rejects:
+        with pytest.raises(NumericError) as excinfo:
+            record._replace(**dict(zip(fields, args)))
+        assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("make, fields, rejects", RECORDS)
+def test_records_refuse_a_wrong_count_and_survive_copy_and_pickle(make, fields, rejects):
+    record = make()
+    cls = type(record)
+    with pytest.raises(TypeError):
+        cls(*record, record[-1])
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls and clone == record
