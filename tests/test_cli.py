@@ -495,7 +495,16 @@ def _one_shot_error_table(lo, hi, steps):
     grid = [lo + span * i / steps for i in range(steps + 1)]
     table = rows(cli.error_sweep(grid, numeric.DEFAULT_CONFIG))
     header = "\t".join(numeric.ERROR_TABLE_COLUMNS)
-    return "\n".join([header, *[cli._ERROR_ROW_FORMAT % row for row in table], ""])
+    lines = ["\t".join(f"{v:.17g}" for v in row) for row in table]
+    return "\n".join([header, *lines, ""])
+
+
+@given(st.tuples(*[st.floats()] * 6))
+@example((math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324))
+@example((1.7976931348623157e308, -5e-324, -math.nan, 1.0, -1.0, 0.1))
+def test_error_row_format_prints_every_float_as_17g(values):
+    # the bytes format error-table renders with gives str's digits for any float
+    assert (cli._ERROR_ROW_FORMAT % values).decode() == "\t".join(f"{v:.17g}" for v in values)
 
 
 def _error_table_argv(lo, hi, steps):
@@ -711,8 +720,9 @@ def test_error_table_memory_stays_below_its_text():
 def test_error_table_peak_with_the_real_sweep_is_one_block():
     # the real float sweep, not a stand-in: the peak is one block's, the
     # same for 50,001 rows as for 5,001.  With 256-row blocks it measured
-    # 141,000 bytes (CPython 3.11), so the bound is twice that; 1,024-row
-    # blocks measured 553,000 and fail it
+    # 141,000 bytes (CPython 3.11), so the bound is twice that; rendered
+    # with the bytes row format it measures 149,000, the bytes writer's
+    # over-allocation; 1,024-row blocks measured 553,000 and fail it
     small, _ = _error_table_peak(5000, numeric.error_sweep)
     large, _ = _error_table_peak(50000, numeric.error_sweep)
     assert max(small, large) <= 1.1 * min(small, large), (small, large)
@@ -1246,8 +1256,25 @@ def invoke_extreme(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)  # any exception escaping run() fails the test
-    assert code in (0, 1, 2), (argv, err.getvalue())
-    return code, out.getvalue()
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, err)
+    if code:
+        # a refusal writes nothing to stdout and one line to stderr
+        assert out == "", (argv, out)
+        assert err.startswith(("usage error: ", "error: ")), (argv, err)
+        assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == "", (argv, err)
+    if code == 0 and argv[0] == "error-table":
+        # the header and steps + 1 rows of six columns, each printed as .17g
+        header, *table = out.splitlines()
+        assert header == "\t".join(numeric.ERROR_TABLE_COLUMNS)
+        assert len(table) == cli.build_parser().parse_args(argv).steps + 1, argv
+        for row in table:
+            fields = row.split("\t")
+            assert len(fields) == 6, (argv, row)
+            assert all(format(float(t), ".17g") == t for t in fields), (argv, row)
+    return code, out
 
 
 @given(st.one_of(FINITE, UNIT), st.one_of(FINITE, UNIT), st.integers(1, 50))

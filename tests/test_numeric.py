@@ -762,7 +762,7 @@ def test_float_row_matches_the_ellipse_oracle(lam, abs_tol):
     assert got == want
     if isinstance(got, ErrorRow):
         assert [math.copysign(1, v) for v in got] == [math.copysign(1, v) for v in want]
-        assert cli._ERROR_ROW_FORMAT % got == "\t".join(f"{v:.17g}" for v in got)
+        assert (cli._ERROR_ROW_FORMAT % got).decode() == "\t".join(f"{v:.17g}" for v in got)
 
 
 
