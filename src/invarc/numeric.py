@@ -240,17 +240,30 @@ def _fixed_point_h(X: int, s: int, P: int) -> tuple[int, int]:
     c_n = (a_(n-1) - b_(n-1))/2 from (a_1, b_1) = (1, sqrt(1 - x))
     (Borwein & Borwein, Pi and the AGM, 1987, ch. 1).  The AGM runs on
     integers A >= B in units u, each step the floors (A + B) >> 1 and
-    isqrt(AB), until A = B: there AGM(A, B) = A and the rest of the sum is
-    0.  That rule ends the loop, because A - B falls strictly while it is
-    positive, to at most (A - B)^2/8B + 1 units, and from 1 to 0.
+    isqrt(AB).  Each pair's gap d = A - B gives the c-sum its term, and the
+    loop ends at the first pair with d^2 <= B, taking (A + B)/2 for
+    AGM(A, B) and no term after d's.  That rule ends the loop, because d
+    falls strictly while it is positive, to at most d^2/8B + 1 units, and
+    d = 0 meets it.  While d^2 > B, d >= 9 (P >= 55) and d < 0.07 B, so
+    each step divides d by more than 8: the m steps number under P/6.
 
-    After m steps E = 2m + 2.  For x <= 0.35^2, where dh/dx < 0.254, the
-    error is the sum of
+    After m steps E = 2m + 2.  For x <= 0.35^2, where dh/dx < 0.254,
+    1 + h < 1.031 and b > 0.936, the error is the sum of
     - under 0.51 from flooring sqrt(1 - x), since |dh/db| = 2b dh/dx;
     - under 1.11 a step: the two floors lower the AGM of the pair, which
-      is monotone and homogeneous, by at most a factor 1 - u/b, b > 0.936;
+      is monotone and homogeneous, by at most a factor 1 - u/b;
     - under 0.01 in all from the same floors moving the rest of the c-sum;
+    - under 0.14 from the end's mean: AGM(A, B) lies between sqrt(AB) and
+      (A + B)/2, which differ by d^2/2(sqrt A + sqrt B)^2 <= d^2/8B <= 1/8
+      units, so dividing by the mean lowers 1 + h by at most a factor
+      1 - u/8b, under 1.031/(8 * 0.936) units;
+    - under 0.01 from the c-sum terms after the last pair: the next gap is
+      that same 1/8 unit at most and the ones after it shrink
+      quadratically, so with the weight 2^m < 2^(P/6) they take under
+      2^(m - 4) units u^2 from N, which moves h by under
+      2^(m - 5 - P)/0.936;
     - under 1 from the final division.
+    These total under 1.67 + 1.11m <= E.
     """
     one = 1 << P
     A = one
@@ -258,12 +271,14 @@ def _fixed_point_h(X: int, s: int, P: int) -> tuple[int, int]:
     N = one << (P + 1)  # 2 (1 - sum 2^(n-1) c_n^2) in units u^2
     weight = 1
     steps = 0
-    while A != B:
-        N -= weight * (A - B) ** 2
+    while True:
+        gap_sq = (A - B) ** 2
+        N -= weight * gap_sq
+        if gap_sq <= B:
+            return N // (A + B) - one, 2 * steps + 2
         weight <<= 1
         A, B = (A + B) >> 1, math.isqrt(A * B)
         steps += 1
-    return N // (2 * A) - one, 2 * steps + 2
 
 
 def _exact_row(lam: float) -> tuple[float, ...]:
@@ -280,7 +295,8 @@ def _exact_row(lam: float) -> tuple[float, ...]:
     2^(5P + 5 - s) by root (H -+ E)^6 at full width, and that shift is
     positive, since X < 2^106 gives s <= g + 105 and P >= 6g + 31.
     As |diff| ~ h^6/32 >= 2^-(6g + 17), P = 6g + 96 makes the error about
-    (4E + 1) 2^-79 of |diff|.
+    (4E + 1) 2^-79 of |diff|: under 2^-73 where the AGM ends after two to
+    four steps, as it does at that P on every grid tried, so E is 6 to 10.
 
     Each column costs one int / int division per end of its interval.  If
     the two ends round to different floats, the row is redone at 2P (Ziv,
@@ -300,22 +316,26 @@ def _fixed_point_row(lam: float, X: int, s: int, P: int) -> tuple[float, ...] | 
     H, E = _fixed_point_h(X, s, P)
     one = 1 << P
     root = (2 << P) + math.isqrt((one - 3 * H) << P)  # 2 + sqrt(1 - 3h) in units u
+    root_p = root << P
     approx = H * (4 * root - 3 * H)  # over root 2^P
-    diff = (X * root << P) - (approx << s)  # over root 2^(P + s)
+    diff = X * root_p - (approx << s)  # over root 2^(P + s)
     e_approx = (4 * E + 1) * root
     e_diff = e_approx << s
     shift = 5 * P + 5 - s  # 32 diff/h^6 = diff 2^shift / (root H^6) in units
+    root_ps = root_p << s
+    h_low, h_high = H - E, H + E
+    diff_low, diff_high = diff - e_diff, diff + e_diff
     low = (
-        (H - E) / one,
-        (approx - e_approx) / (root << P),
-        (diff - e_diff) / (root << (P + s)),
-        ((diff - e_diff) << shift) / (root * (H - E) ** 6),
+        h_low / one,
+        (approx - e_approx) / root_p,
+        diff_low / root_ps,
+        (diff_low << shift) / (root * h_low**6),
     )
     high = (
-        (H + E) / one,
-        (approx + e_approx) / (root << P),
-        (diff + e_diff) / (root << (P + s)),
-        ((diff + e_diff) << shift) / (root * (H + E) ** 6),
+        h_high / one,
+        (approx + e_approx) / root_p,
+        diff_high / root_ps,
+        (diff_high << shift) / (root * h_high**6),
     )
     if low != high:
         return None

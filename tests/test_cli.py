@@ -971,6 +971,22 @@ ARGV_VALUES = (
     st.lists(st.tuples(st.sampled_from(sorted(chain(*ARGV_FLAGS.values()))),
                        st.sampled_from(ARGV_VALUES)), max_size=4),
 )
+# argv of past bugs, each as it runs today: exit 0 with the last row printed
+# as 0.125 (the grid overshoots --lambda-max, ROADMAP item 14)
+@example("error-table", [("--lambda-min", "0.04071112986544844"),
+                         ("--lambda-max", "0.12499999999999999"), ("--steps", "1")])
+# exit 2, "lambda = 1.0 outside [0, 1)" (item 14 again)
+@example("error-table", [("--lambda-min", "0.3"), ("--lambda-max", "0.9999999999999999"),
+                         ("--steps", "1")])
+# exit 2 with the subnormal circle bound 1.5521530033659567e-323
+@example("invert", [("--perimeter", "1.5e-323"), ("--sum", "5e-324")])
+# exit 2 with the circle bound 3.1415926535897932e+308, not inf
+@example("invert", [("--perimeter", "1"), ("--sum", "1e308")])
+# exit 2, "freeze index 5 outside 1..4"
+@example("cfrac", [("--depth", "4"), ("--freeze", "3/4"), ("--freeze-from", "5")])
+# exit 0, 21 exact rows at P of 12,000 to 13,000 bits
+@example("error-table", [("--lambda-min", "5e-324"), ("--lambda-max", "1e-300"),
+                         ("--steps", "20")])
 @settings(max_examples=200, deadline=None)
 def test_random_argv_exits_0_1_or_2_and_never_raises(command, flags):
     invoke_extreme([command, *(f"{flag}={value}" for flag, value in flags)])

@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+import types
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -522,6 +523,25 @@ def test_isqrt_near_is_the_floor_root(S, data):
         assert _isqrt_near(S, T) == math.isqrt(S * S - T), (S, T)
 
 
+def _oracle_plain_step_h(X: int, s: int, P: int) -> tuple[int, int]:
+    """_fixed_point_h as it was before the early end: it steps until A = B,
+    where AGM(A, B) = A and the rest of the c-sum is 0, and its bound
+    after m steps is E = 2m + 2, from the same shares as the kernel's
+    without the end's two."""
+    one = 1 << P
+    A = one
+    B = math.isqrt(((1 << s) - X) << (2 * P - s))
+    N = one << (P + 1)  # 2 (1 - sum 2^(n-1) c_n^2) in units u^2
+    weight = 1
+    steps = 0
+    while A != B:
+        N -= weight * (A - B) ** 2
+        weight <<= 1
+        A, B = (A + B) >> 1, math.isqrt(A * B)
+        steps += 1
+    return N // (2 * A) - one, 2 * steps + 2
+
+
 def _oracle_fixed_point_h(X: int, s: int, P: int) -> tuple[int, int]:
     """_fixed_point_h as it was before the plain step: each AGM step from
     S = A + B and T = (A - B)^2, with 4AB = S^2 - T, and its root by one
@@ -553,7 +573,70 @@ def test_fixed_point_h_matches_the_one_division_root_oracle(lam):
     X = m * m
     g = s + 1 - X.bit_length()
     for P in (6 * g + 32, 6 * g + 96, 12 * g + 192):
-        assert numeric._fixed_point_h(X, s, P) == _oracle_fixed_point_h(X, s, P)
+        assert _oracle_plain_step_h(X, s, P) == _oracle_fixed_point_h(X, s, P)
+
+
+@given(st.floats(min_value=0, max_value=EXACT_SWEEP_CUTOFF, exclude_min=True, allow_subnormal=True))
+@example(5e-324)
+@example(math.nextafter(2.0**-1021, 0))  # 53-bit mantissa, the largest s
+@example(1e-150)
+@example(2.0**-7)
+@example(EXACT_SWEEP_CUTOFF)
+@example(math.nextafter(EXACT_SWEEP_CUTOFF, 0))
+@settings(max_examples=150, deadline=None)
+def test_fixed_point_h_ends_within_the_plain_step_bound(lam):
+    # both kernels bracket the same h, so their brackets meet, and any
+    # bracket that holds the true value rounds each column the same way
+    m, d = lam.as_integer_ratio()
+    s = 2 * (d.bit_length() - 1)
+    X = m * m
+    g = s + 1 - X.bit_length()
+    for P in (6 * g + 32, 6 * g + 96, 12 * g + 192):
+        H, E = numeric._fixed_point_h(X, s, P)
+        H_oracle, E_oracle = _oracle_plain_step_h(X, s, P)
+        assert abs(H - H_oracle) <= E + E_oracle, (lam, P)
+    got = numeric._exact_row(lam)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numeric, "_fixed_point_h", _oracle_plain_step_h)
+        want = numeric._exact_row(lam)
+    assert _same_row(ErrorRow(*got), ErrorRow(*want))
+
+
+# the sweep-exact benchmark's --lambda-min at seed 0 (perfbench/run.py
+# sweep_exact_argv); its grid runs to 0.345 in 1,000 steps
+SEED_0_SWEEP_EXACT_MIN = 0.001 * random.Random(0).random()
+# isqrt calls of that sweep when the AGM ends at d^2 <= B; the plain step
+# made 6,773
+EARLY_END_ISQRT_CALLS = 5330
+
+
+def _sweep_isqrt_calls(kernel) -> int:
+    """isqrt calls of error_sweep over the seed-0 sweep-exact grid with
+    kernel as _fixed_point_h; the stand-in for math serves numeric and this
+    module, whose oracle kernels call isqrt by their module's math."""
+    grid = _cli_grid(SEED_0_SWEEP_EXACT_MIN, 0.345, 1000)
+    calls = []
+
+    def isqrt(n, isqrt=math.isqrt):
+        calls.append(None)
+        return isqrt(n)
+
+    stand_in = types.SimpleNamespace(**{**vars(math), "isqrt": isqrt})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numeric, "_fixed_point_h", kernel)
+        patch.setattr(numeric, "math", stand_in)
+        patch.setitem(globals(), "math", stand_in)
+        values = error_sweep(grid)
+    assert len(values) == 6 * len(grid)
+    return len(calls)
+
+
+def test_exact_sweep_takes_fewer_roots_than_the_plain_step():
+    # a deterministic cost guard: a change that lengthens the AGM loop
+    # again fails here, where a timing would only drift
+    calls = _sweep_isqrt_calls(numeric._fixed_point_h)
+    assert calls < _sweep_isqrt_calls(_oracle_plain_step_h)
+    assert calls <= EARLY_END_ISQRT_CALLS
 
 
 @given(st.floats(min_value=0, max_value=EXACT_SWEEP_CUTOFF, exclude_min=True, allow_subnormal=True))
