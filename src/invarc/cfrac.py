@@ -5,9 +5,8 @@ A :class:`CFraction` represents
     leading*h - head*h^2 / (1 - a1*h / (1 - a2*h / (1 - ...)))
 
 as the ordered list of partial numerator coefficients a_k.  The module
-expands a power series into that form, re-expands truncations back into
-series (the round-trip oracle), freezes a periodic tail, solves the
-periodic tail in closed form, and collapses a frozen fraction whose
+expands a power series into that form, freezes a periodic tail, solves
+the periodic tail in closed form, and collapses a frozen fraction whose
 partials are those of 4h - 3h^2/(2 + sqrt(1 - 3h)) into that expression.
 
 Everything is exact rational arithmetic; no floats enter this module.
@@ -34,10 +33,10 @@ class CFraction(_Record):
     leading and head are Fractions and partials is a tuple of Fractions.
     periodic_from, None unless set, is the 1-based index from which every
     partial coefficient holds the same frozen value (the tail is
-    conceptually infinite).  An expansion that holds fewer partials than
-    the depth it was asked for ended early because some remainder 1 - D_k
-    was identically zero: the source was a rational function and the
-    stored partials are complete.
+    conceptually infinite), so it must name a stored partial.  An
+    expansion that holds fewer partials than the depth it was asked for
+    ended early because some remainder 1 - D_k was identically zero: the
+    source was a rational function and the stored partials are complete.
     """
 
     __slots__ = ()
@@ -45,6 +44,13 @@ class CFraction(_Record):
 
     def __new__(cls, leading: Fraction, head: Fraction, partials: tuple[Fraction, ...],
                 periodic_from: int | None = None):
+        # an int index, not a float or a bool
+        if periodic_from is not None and not (
+            type(periodic_from) is int and 1 <= periodic_from <= len(partials)
+        ):
+            raise CFracError(
+                f"periodic_from must be None or in 1..{len(partials)}, got {periodic_from!r}"
+            )
         return super().__new__(cls, leading, head, partials, periodic_from)
 
     @property
@@ -159,41 +165,6 @@ def cfrac_expand(s: PowerSeries, depth: int) -> CFraction:
     return CFraction(c1, head, tuple(partials))
 
 
-def _materialized_partials(cf: CFraction, need: int) -> list[Fraction]:
-    work = list(cf.partials)
-    if len(work) < need:
-        if cf.periodic_from is None or not 1 <= cf.periodic_from <= len(work):
-            raise CFracError(
-                f"depth {cf.depth} certifies only order {cf.depth + 2}"
-            )
-        fill = cf.partials[cf.periodic_from - 1]
-        work.extend(fill for _ in range(need - len(work)))
-    return work
-
-
-def cfrac_to_series(cf: CFraction, order: int) -> PowerSeries:
-    """Expand a truncated fraction bottom-up into a power series.
-
-    For a plain fraction the certified range is order <= depth + 2.  A
-    frozen fraction has a conceptually infinite periodic tail, so extra
-    partials are materialized on demand and any order is certified.
-
-    The tail is kept as one quotient num/den: a partial a turns it into
-    1 - a*h*den/num = (num - a*h*den)/num, so one division ends the loop.
-    The head term starts at h^2, so order 1 is leading*h: the series is
-    formed at order 2 at least and truncated.
-    """
-    if order < 1:
-        raise ValueError("order must be positive")
-    n = max(order, 2)
-    work = _materialized_partials(cf, n - 2)
-    num = den = PowerSeries.one(n)
-    for a in reversed(work):
-        num, den = num - PowerSeries.monomial(a, 1, n) * den, num
-    head_term = (PowerSeries.monomial(cf.head, 2, n) * den).divide(num)
-    return (PowerSeries.monomial(cf.leading, 1, n) - head_term).truncate(order)
-
-
 def freeze_tail(cf: CFraction, from_index: int, value) -> CFraction:
     """Replace every partial from the 1-based from_index on with one value."""
     value = Fraction(value)
@@ -221,7 +192,9 @@ def collapse_to_closed_form(cf: CFraction) -> str:
         raise NotInRamanujanShape(
             f"head is ({cf.leading}, {cf.head}), need ({closed.leading}, {closed.head})"
         )
-    for k, (a, b) in enumerate(zip(_materialized_partials(cf, n), closed.partials), start=1):
+    fill = cf.partials[cf.periodic_from - 1]
+    partials = cf.partials + (fill,) * (n - cf.depth)
+    for k, (a, b) in enumerate(zip(partials, closed.partials), start=1):
         if a != b:
             raise NotInRamanujanShape(f"partial numerator {k} is {a}, need {b}")
     return CLOSED_FORM

@@ -41,12 +41,12 @@ class NumericError(ArithmeticError):
 class _Record(tuple):
     """A tuple whose items are read by the names in its class's _fields.
 
-    It keeps what the package used of collections.namedtuple: positional
-    construction, read-only fields, _asdict, _replace, the
-    Name(field=value) repr, and tuple equality and hashing.  _replace,
-    copy and pickle rebuild through the class constructor, so a record
-    that checks its fields in __new__ checks them there too.  A record
-    that takes keywords or a default says so in its own __new__.
+    It keeps what the package uses of collections.namedtuple: positional
+    construction, read-only fields, the Name(field=value) repr, and tuple
+    equality and hashing.  Copy and pickle rebuild through the class
+    constructor, so a record that checks its fields in __new__ checks
+    them there too.  A record that takes keywords or a default says so in
+    its own __new__.
     """
 
     __slots__ = ()
@@ -67,15 +67,6 @@ class _Record(tuple):
 
     def __getnewargs__(self):
         return tuple(self)
-
-    def _asdict(self) -> dict:
-        return dict(zip(self._fields, self))
-
-    def _replace(self, **changes):
-        values = [changes.pop(name, value) for name, value in zip(self._fields, self)]
-        if changes:
-            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
-        return type(self)(*values)
 
 
 class Ellipse(_Record):

@@ -98,17 +98,6 @@ class PowerSeries:
 
     # -- comparison ------------------------------------------------------
 
-    def agreement(self, other: "PowerSeries") -> tuple[bool, int]:
-        """Compare through the shared prefix.
-
-        Returns (equal, certified_order): whether all coefficients agree up
-        to the smaller of the two orders, and that order.  Nothing beyond
-        the certified order is claimed either way.
-        """
-        certified = min(self.order, other.order)
-        equal = self._coeffs[: certified + 1] == other._coeffs[: certified + 1]
-        return equal, certified
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSeries):
             return NotImplemented

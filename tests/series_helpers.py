@@ -1,12 +1,16 @@
 """Series builders, a message matcher, the invert measurement strategy and
 the reading of sweep values as rows (`ErrorRow`, `rows`) that the tests
-share, and the closed-form expansion the package replaced.
+share, the closed-form expansion the package replaced, and the
+re-expansion of a C-fraction into its series.
 
-The builders (`polynomial`, `scale`, `tail_series`) were once methods of
+`polynomial`, `scale`, `tail_series` and `agreement` were once methods of
 `PowerSeries` and of the former `TailClosedForm` record; no code under src/
 needs them any more.
 `ramanujan_by_sqrt` is the closed form by `sqrt` and `divide`, the oracle
 that the linear recurrence `cfrac.ramanujan_series` must match.
+`cfrac_to_series`, by one series division per partial, is the only
+re-expansion: the criteria and the cfrac tests check `cfrac_expand`
+against it.
 """
 
 import math
@@ -16,6 +20,7 @@ from typing import NamedTuple
 
 from hypothesis import strategies as st
 
+from invarc.cfrac import CFracError
 from invarc.numeric import ERROR_TABLE_COLUMNS
 from invarc.series import PowerSeries
 
@@ -70,6 +75,45 @@ def tail_series(c, order):
     """Expansion of the periodic tail B = (1 + sqrt(1 - 4ch))/2."""
     radicand = polynomial([1, -4 * c], order)
     return scale(PowerSeries.one(order) + radicand.sqrt(), Fraction(1, 2))
+
+
+def agreement(a, b):
+    """Compare two series through the shared prefix.
+
+    Returns (equal, certified_order): whether all coefficients agree up
+    to the smaller of the two orders, and that order.  Nothing beyond
+    the certified order is claimed either way.
+    """
+    certified = min(a.order, b.order)
+    equal = a.coeffs[: certified + 1] == b.coeffs[: certified + 1]
+    return equal, certified
+
+
+# -- the re-expansion of a C-fraction ----------------------------------------
+
+
+def rational_source(leading, head, partials, order):
+    # leading*h - head*h^2/(1 - a1*h/(1 - ...)), a rational function whose
+    # expansion terminates after the given partials
+    tail = PowerSeries.one(order)
+    for a in reversed(partials):
+        tail = PowerSeries.one(order) - PowerSeries.monomial(a, 1, order).divide(tail)
+    return PowerSeries.monomial(leading, 1, order) - PowerSeries.monomial(head, 2, order) / tail
+
+
+def cfrac_to_series(cf, order):
+    # the former cfrac_to_series: one series division per partial, with the
+    # frozen tail repeated up to the order - 2 partials the order needs
+    if order < 1:
+        raise ValueError("order must be positive")
+    n = max(order, 2)  # the head term starts at h^2
+    partials = list(cf.partials)
+    need = n - 2
+    if len(partials) < need:
+        if cf.periodic_from is None or not 1 <= cf.periodic_from <= cf.depth:
+            raise CFracError(f"depth {cf.depth} certifies only order {cf.depth + 2}")
+        partials += [cf.partials[cf.periodic_from - 1]] * (need - len(partials))
+    return rational_source(cf.leading, cf.head, partials, n).truncate(order)
 
 
 # -- the replaced closed-form expansion --------------------------------------

@@ -1,6 +1,8 @@
-"""C-fraction extraction, freezing, tail solving, collapse, agreement."""
+"""C-fraction extraction, freezing, tail solving, collapse, re-expansion."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +14,6 @@ from invarc.cfrac import (
     CFraction,
     NotInRamanujanShape,
     cfrac_expand,
-    cfrac_to_series,
     collapse_to_closed_form,
     freeze_tail,
     ramanujan_series,
@@ -21,7 +22,15 @@ from invarc.cfrac import (
 from invarc.derivation import true_inverse_series
 from invarc.series import PowerSeries, _scaled
 
-from series_helpers import polynomial, ramanujan_by_sqrt, tail_series, whole
+from series_helpers import (
+    agreement,
+    cfrac_to_series,
+    polynomial,
+    ramanujan_by_sqrt,
+    rational_source,
+    tail_series,
+    whole,
+)
 
 
 TRUE_PARTIALS = (F(1, 2), F(3, 4), F(3, 4), F(31, 36), F(911, 1116))
@@ -90,7 +99,7 @@ def test_expand_terminating_input():
 
 def test_expand_stops_after_a_nonempty_prefix():
     # a rational source ends the expansion after its own partials
-    cf = cfrac_expand(_rational_source(4, 1, [F(1, 2), F(3, 4)], 10), 6)
+    cf = cfrac_expand(rational_source(4, 1, [F(1, 2), F(3, 4)], 10), 6)
     assert (cf.leading, cf.head, cf.partials) == (4, 1, (F(1, 2), F(3, 4)))
 
 
@@ -144,7 +153,7 @@ def test_to_series_round_trips_the_source():
     source = true_inverse_series(8)
     cf = cfrac_expand(source, 6)
     back = cfrac_to_series(cf, 8)
-    ok, through = back.agreement(source)
+    ok, through = agreement(back, source)
     assert ok and through == 8
 
 
@@ -152,7 +161,7 @@ def test_to_series_depth_d_certifies_order_d_plus_2():
     source = true_inverse_series(10)
     cf = cfrac_expand(source, 3)
     back = cfrac_to_series(cf, 5)
-    assert back.agreement(source.truncate(5)) == (True, 5)
+    assert agreement(back, source.truncate(5)) == (True, 5)
     # order d+2 is also the limit: more needs partials the fraction lacks
     with pytest.raises(CFracError, match=whole("depth 3 certifies only order 5")):
         cfrac_to_series(cf, 6)
@@ -170,13 +179,20 @@ def test_to_series_needs_materializable_partials():
         cfrac_to_series(cf, 0)
     with pytest.raises(CFracError, match=whole("depth 4 certifies only order 6")):
         cfrac_to_series(cf, 12)
-    # a periodic_from outside 1..depth names no stored partial to repeat
-    for start in (0, 5):
-        malformed = cf._replace(periodic_from=start)
-        with pytest.raises(CFracError, match=whole("depth 4 certifies only order 6")):
-            cfrac_to_series(malformed, 12)
-        with pytest.raises(CFracError, match=whole("depth 4 certifies only order 6")):
-            collapse_to_closed_form(malformed)
+
+
+@pytest.mark.parametrize("depth", [4, 10])
+def test_cfraction_refuses_a_periodic_from_that_names_no_partial(depth):
+    # the tail repeats a stored partial, so periodic_from lies in 1..depth
+    partials = (F(1, 2),) + (F(3, 4),) * (depth - 1)
+    for index in (0, depth + 1, -3, 2.0, True):  # an int index, not a float or a flag
+        message = f"periodic_from must be None or in 1..{depth}, got {index!r}"
+        with pytest.raises(CFracError, match=whole(message)):
+            CFraction(F(4), F(1), partials, index)
+    frozen = CFraction(F(4), F(1), partials, 2)
+    assert collapse_to_closed_form(frozen) == CLOSED
+    for clone in (copy.copy(frozen), copy.deepcopy(frozen), pickle.loads(pickle.dumps(frozen))):
+        assert type(clone) is CFraction and clone == frozen
 
 
 def test_freeze_tail_from_2():
@@ -471,30 +487,6 @@ def _oracle_expand_by_gcd(s, depth):
     return CFraction(c1, head, tuple(partials))
 
 
-def _rational_source(leading, head, partials, order):
-    # leading*h - head*h^2/(1 - a1*h/(1 - ...)), a rational function whose
-    # expansion terminates after the given partials
-    tail = PowerSeries.one(order)
-    for a in reversed(partials):
-        tail = PowerSeries.one(order) - PowerSeries.monomial(a, 1, order).divide(tail)
-    return PowerSeries.monomial(leading, 1, order) - PowerSeries.monomial(head, 2, order) / tail
-
-
-def _to_series_by_division(cf, order):
-    # the former cfrac_to_series: one series division per partial, with the
-    # frozen tail repeated up to the order - 2 partials the order needs
-    if order < 1:
-        raise ValueError("order must be positive")
-    n = max(order, 2)  # the head term starts at h^2
-    partials = list(cf.partials)
-    need = n - 2
-    if len(partials) < need:
-        if cf.periodic_from is None or not 1 <= cf.periodic_from <= cf.depth:
-            raise CFracError(f"depth {cf.depth} certifies only order {cf.depth + 2}")
-        partials += [cf.partials[cf.periodic_from - 1]] * (need - len(partials))
-    return _rational_source(cf.leading, cf.head, partials, n).truncate(order)
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -558,7 +550,7 @@ def test_expand_matches_division_oracle(c1, c2, tail, depth):
 def test_expand_matches_division_oracle_on_rational_sources(leading, head, partials, extra):
     # terminating sources, also where a zero partial ends them early
     depth = len(partials) + extra
-    s = _rational_source(leading, head, partials, depth + 2)
+    s = rational_source(leading, head, partials, depth + 2)
     _assert_expand_matches_oracles(s, depth)
 
 
@@ -569,26 +561,6 @@ def test_expand_matches_division_oracle_on_rational_sources(leading, head, parti
 def test_expand_matches_gcd_oracle_at_high_order(source, order, depth):
     s = source(order)
     assert cfrac_expand(s, depth) == _oracle_expand_by_gcd(s, depth)
-
-
-@st.composite
-def _fractions_to_expand(draw):
-    # plain and frozen fractions, zero partials and a periodic_from outside
-    # 1..depth included, at orders within and beyond depth + 2
-    partials = tuple(draw(st.lists(sparse_fractions_st, max_size=8)))
-    cf = CFraction(draw(nonzero_fractions_st), draw(sparse_fractions_st), partials,
-                   draw(st.one_of(st.none(), st.integers(0, len(partials) + 1))))
-    return cf, draw(st.integers(-1, 40))
-
-
-@given(_fractions_to_expand())
-@example((CFraction(F(4), F(1), (F(1, 2), F(3, 4)), 2), 40))
-@example((CFraction(F(4), F(1), (F(1, 2),)), 4))
-@example((CFraction(F(4), F(1), (F(1, 2),)), 1))
-@settings(max_examples=150, deadline=None)
-def test_to_series_matches_one_division_per_partial(case):
-    cf, order = case
-    assert _outcome(cfrac_to_series, cf, order) == _outcome(_to_series_by_division, cf, order)
 
 
 # Rutishauser's quotient-difference algorithm: the partials by a route that

@@ -7,6 +7,7 @@ import os
 import pathlib
 import shlex
 import stat
+import tempfile
 from fractions import Fraction
 from itertools import chain
 from unittest import mock
@@ -970,26 +971,88 @@ ARGV_VALUES = (
     st.sampled_from(sorted(ARGV_FLAGS)),
     st.lists(st.tuples(st.sampled_from(sorted(chain(*ARGV_FLAGS.values()))),
                        st.sampled_from(ARGV_VALUES)), max_size=4),
+    st.booleans(),
 )
 # argv of past bugs, each as it runs today: exit 0 with the last row printed
 # as 0.125 (the grid overshoots --lambda-max, ROADMAP item 14)
 @example("error-table", [("--lambda-min", "0.04071112986544844"),
-                         ("--lambda-max", "0.12499999999999999"), ("--steps", "1")])
+                         ("--lambda-max", "0.12499999999999999"), ("--steps", "1")], True)
 # exit 2, "lambda = 1.0 outside [0, 1)" (item 14 again)
 @example("error-table", [("--lambda-min", "0.3"), ("--lambda-max", "0.9999999999999999"),
-                         ("--steps", "1")])
+                         ("--steps", "1")], True)
 # exit 2 with the subnormal circle bound 1.5521530033659567e-323
-@example("invert", [("--perimeter", "1.5e-323"), ("--sum", "5e-324")])
+@example("invert", [("--perimeter", "1.5e-323"), ("--sum", "5e-324")], False)
 # exit 2 with the circle bound 3.1415926535897932e+308, not inf
-@example("invert", [("--perimeter", "1"), ("--sum", "1e308")])
+@example("invert", [("--perimeter", "1"), ("--sum", "1e308")], False)
 # exit 2, "freeze index 5 outside 1..4"
-@example("cfrac", [("--depth", "4"), ("--freeze", "3/4"), ("--freeze-from", "5")])
+@example("cfrac", [("--depth", "4"), ("--freeze", "3/4"), ("--freeze-from", "5")], True)
 # exit 0, 21 exact rows at P of 12,000 to 13,000 bits
 @example("error-table", [("--lambda-min", "5e-324"), ("--lambda-max", "1e-300"),
-                         ("--steps", "20")])
+                         ("--steps", "20")], False)
+# exit 0, and through --out the same table as on stdout
+@example("cfrac", [("--depth", "8"), ("--freeze", "3/4")], True)
 @settings(max_examples=200, deadline=None)
-def test_random_argv_exits_0_1_or_2_and_never_raises(command, flags):
-    invoke_extreme([command, *(f"{flag}={value}" for flag, value in flags)])
+def test_random_argv_exits_0_1_or_2_and_never_raises(command, flags, to_file):
+    argv = [command, *(f"{flag}={value}" for flag, value in flags)]
+    code, out = invoke_extreme(argv)
+    if not (to_file and "--out" in cli._COMMANDS[command][2]):
+        return
+    # the same argv with --out: a refusal leaves the directory empty, no
+    # target and no temp file, and a success leaves only the target, which
+    # holds what stdout took
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "t.out")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert run([*argv, f"--out={target}"]) == code, (argv, stderr.getvalue())
+        assert stdout.getvalue() == "", argv
+        if code:
+            assert (os.listdir(tmp), stderr.getvalue().count("\n")) == ([], 1), argv
+        else:
+            assert (os.listdir(tmp), stderr.getvalue()) == (["t.out"], ""), argv
+            assert pathlib.Path(target).read_bytes() == out.encode(), argv
+
+
+# verify-series and cfrac print exact rationals, each in lowest terms, and
+# an order one higher changes none of them: it only appends
+
+
+def _tsv_rows(order):
+    # verify-series --format tsv: series name -> its rows, in print order
+    code, out = invoke_extreme(["verify-series", "--order", str(order), "--format", "tsv"])
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header == "series\tpower\tcoefficient\tstatus"
+    rows = {}
+    for line in lines:
+        name, _, coefficient, _ = line.split("\t")
+        assert coefficient == str(Fraction(coefficient)), line
+        rows.setdefault(name, []).append(line)
+    return rows
+
+
+def _printed_partials(depth):
+    code, out = invoke_extreme(["cfrac", "--depth", str(depth)])
+    assert code == 0
+    (line,) = [line for line in out.splitlines() if line.startswith("partial numerators: ")]
+    partials = line.removeprefix("partial numerators: ").split(", ")
+    assert partials == [str(Fraction(text)) for text in partials], line
+    return partials
+
+
+@given(st.integers(8, 60))
+@example(8)
+@example(60)
+@settings(max_examples=15, deadline=None)
+def test_symbolic_output_is_exact_and_nests_by_order(n):
+    low, high = _tsv_rows(n), _tsv_rows(n + 1)
+    assert list(low) == list(high)
+    for name, rows in low.items():
+        # the series through h^n, the partials through a_(n-2)
+        assert high[name][: len(rows)] == rows and len(high[name]) == len(rows) + 1, name
+    partials = _printed_partials(n - 2)
+    assert len(partials) == n - 2
+    assert _printed_partials(n - 1)[: n - 2] == partials
 
 
 # Tokens for argv that the plain reader must read as argparse does, or

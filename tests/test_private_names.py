@@ -9,16 +9,27 @@ each name a function imports must be read in that function, so neither
 a dead import nor a re-export layer can come back, and each layer raises
 one error type, so an exception subclass must be one that some `except`
 clause tells apart, and every type but the usage error must fall under
-the one refusal clause of `cli.run`.
+the one refusal clause of `cli.run`.  Last, a function that no command
+and no benchmark hook calls must be one listed with the ROADMAP item
+that removes it: what only the tests call belongs in the tests.
 """
 
 import ast
 import importlib
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from invarc import cli
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "invarc"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "invarc"
+CHILD = ROOT / "perfbench" / "child.py"
 
 
 def _is_private(name: str) -> bool:
@@ -138,3 +149,135 @@ def test_every_refusal_type_is_one_that_run_catches():
         if cls is not cli.UsageError and not issubclass(cls, (ArithmeticError, ValueError))
     ]
     assert outside == []
+
+
+# Each command on success, on a domain refusal and on a usage error (a
+# verify-series argv can reach no domain refusal: its one exit 2 is a
+# reference mismatch), with the exit code it must give; --help, a
+# --flag=value argv and an --out argv; the subnormal and the overflowing
+# circle bound of invert; and the benchmark's derive and seed-0 sweep-exact
+# argv with a 200-row float grid.  "{tmp}" is a fresh directory.
+_REACH_ARGV = [
+    (["verify-series", "--order", "12"], 0),
+    (["verify-series", "--order", "5"], 1),
+    (["cfrac", "--depth", "8", "--freeze", "3/4"], 0),
+    (["cfrac", "--depth", "8", "--freeze", "2/3"], 0),
+    (["cfrac", "--depth", "4", "--freeze", "3/4", "--freeze-from", "5"], 2),
+    (["cfrac", "--freeze-from", "2"], 1),
+    (["error-table", "--lambda-min", "0.3", "--lambda-max", "0.4", "--steps", "2"], 0),
+    (["error-table", "--lambda-min", "0.3", "--lambda-max", "0.9999999999999999",
+      "--steps", "1"], 2),
+    (["error-table", "--lambda-min", "0.5", "--lambda-max", "0.4"], 1),
+    (["invert", "--perimeter", "7", "--sum", "2"], 0),
+    (["invert", "--perimeter", "3", "--sum", "1"], 2),
+    (["invert", "--perimeter", "1.5e-323", "--sum", "5e-324"], 2),
+    (["invert", "--perimeter", "1", "--sum", "1e308"], 2),
+    (["invert", "--perimeter", "7"], 1),
+    (["--help"], 0),
+    (["cfrac", "--depth=6"], 0),
+    (["cfrac", "--depth", "6", "--out", "{tmp}/cfrac.out"], 0),
+    (["verify-series", "--order", "40", "--format", "tsv"], 0),
+    # the probe replays this one, the next to last, row by row
+    (["error-table", "--lambda-min", "0.0008444218515250481", "--lambda-max", "0.345",
+      "--steps", "1000"], 0),
+    (["error-table", "--lambda-min", "0.36", "--lambda-max", "0.99", "--steps", "199"], 0),
+]
+
+# Runs the argv above in one fresh interpreter under sys.setprofile, then one
+# write to /dev/full (so that cli._to_devnull runs) and the benchmark probe
+# on the sweep-exact argv, and prints the package directory, the exit codes
+# and the (file, first line) of every Python function that was called.
+_REACH_SCRIPT = """
+import io, json, os, runpy, sys, tempfile
+
+called = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+
+sys.setprofile(profile)
+import invarc.cli
+
+child, cases = sys.argv[1], json.loads(sys.argv[2])
+codes = []
+with tempfile.TemporaryDirectory() as tmp:
+    for argv, _ in cases:
+        sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+        codes.append(invarc.cli.run([arg.replace("{tmp}", tmp) for arg in argv]))
+    with open("/dev/full", "w") as full:
+        sys.stdout = full
+        codes.append(invarc.cli.run(["invert", "--perimeter", "7", "--sum", "2"]))
+    sys.stdout = io.StringIO()
+    codes.append(runpy.run_path(child)["_probe"](os.path.join(tmp, "probe"), cases[-2][0]))
+sys.setprofile(None)
+sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+package = os.path.dirname(invarc.cli.__file__)
+called = [(os.path.relpath(f, package), line) for f, line in called
+          if os.path.dirname(f) == package]
+print(json.dumps({"package": package, "codes": codes, "called": called}))
+"""
+
+# What no command runs, each with the ROADMAP item that removes it.  The
+# benchmark's tracer reads compose, divide, sqrt, revert, h_of and
+# perimeter_agm by name; the four helpers after them serve only those.
+_UNREACHED = {
+    "series.PowerSeries.compose": "item 24, after item 6",
+    "series.PowerSeries.divide": "item 24, after item 6",
+    "series.PowerSeries.sqrt": "item 24, after item 6",
+    "series.PowerSeries.revert": "item 24, after item 6",
+    "series.PowerSeries.zero": "item 24, after item 6",
+    "series.PowerSeries.monomial": "item 24, after item 6",
+    "series.PowerSeries.truncate": "item 24, after item 6",
+    "series.PowerSeries.valuation": "item 24, after item 6",
+    "numeric.h_of": "items 9 and 23",
+    "numeric.perimeter_agm": "items 9 and 23",
+    "numeric.lambda_of": "item 23",
+    "numeric.perimeter_series": "item 23",
+}
+
+
+def _functions(package: Path) -> dict[str, tuple[str, set[int]]]:
+    """Each function defined in the package, by module.Class.name, with its
+    file and the lines its code may give as the first: the def line and,
+    for a decorated function, each decorator's."""
+    found = {}
+
+    def visit(node, prefix, file):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, *_FUNCTIONS)):
+                if isinstance(child, _FUNCTIONS):
+                    lines = {child.lineno, *(d.lineno for d in child.decorator_list)}
+                    found[prefix + child.name] = (file, lines)
+                visit(child, f"{prefix}{child.name}.", file)
+            else:
+                visit(child, prefix, file)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), f"{path.stem}.", path.name)
+    return found
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_every_function_is_reached_by_a_command_or_a_benchmark_hook():
+    # run whichever invarc this process imports, as the cold-start tests do
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _REACH_SCRIPT, str(CHILD), json.dumps(_REACH_ARGV)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [code for _, code in _REACH_ARGV] + [2, 0]
+    called = {tuple(pair) for pair in report["called"]}
+    unreached = [
+        name
+        for name, (file, lines) in _functions(Path(report["package"])).items()
+        if not re.fullmatch(r"__\w+__", name.rpartition(".")[2])
+        and not any((file, line) in called for line in lines)
+    ]
+    unlisted = [name for name in unreached if name not in _UNREACHED]
+    stale = [name for name in _UNREACHED if name not in unreached]
+    assert (unlisted, stale) == ([], [])
